@@ -165,7 +165,7 @@ def _write_transcript(path: str | None, result) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"role": result.role, "session": result.session, "bits": result.bits,
-                       "entries": result.transcript}, fh, indent=2)
+                       "entries": [dict(e) for e in result.transcript]}, fh, indent=2)
             fh.write("\n")
 
 

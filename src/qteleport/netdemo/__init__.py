@@ -6,5 +6,5 @@ observable wire-level fact, auditable from the client transcripts."""
 
 from .audit import transcript_audit  # noqa: F401
 from .clients import run_alice, run_bob  # noqa: F401
-from .fabric import FabricServer, serve_fabric  # noqa: F401
+from .fabric import FabricServer  # noqa: F401
 from .framing import FrameDecoder, encode_frame, recv_msg, send_msg  # noqa: F401

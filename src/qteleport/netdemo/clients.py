@@ -8,15 +8,20 @@ disambiguation payload bits per teleported qubit. The fabric never sees
 classical traffic; the audit counts CLASSICAL payloads alone, which is
 exactly where the two protocols differ.
 
-Per-bit command order matches `protocols.teleport_bit` draw-for-draw, so a
-fabric seeded like an in-process run reproduces its bits exactly.
+Each party sends the fabric one BATCH per bit. Alice's batch keeps the
+command order of `protocols.teleport_bit`, and Bob's follows it, so a fabric
+seeded like an in-process run reproduces its bits draw for draw.
+
+Transcripts hold `TranscriptEntry` records, which keep each message as its
+encoded JSON body, plus plain-dict `event` entries for aborts.
 """
 from __future__ import annotations
 
 import socket
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .framing import recv_msg, send_msg
+from .framing import decode_body, encode_body, recv_msg, send_msg
 
 IO_TIMEOUT = 60.0
 
@@ -36,22 +41,65 @@ def _parse_addr(addr) -> tuple[str, int]:
     return (host or "127.0.0.1", int(port))
 
 
+class TranscriptEntry(Mapping):
+    """One recorded message, read like `{"link", "dir", "msg"}`.
+
+    Only the message's encoded JSON body is kept: `e["msg"]` decodes it on
+    every access and caches nothing, so a transcript stays about as large as
+    its wire bytes. `in`, `len` and iteration never decode.
+    """
+
+    __slots__ = ("_link", "_dir", "_body")
+    _KEYS = ("link", "dir", "msg")
+
+    def __init__(self, link: str, direction: str, body: bytes):
+        self._link = link
+        self._dir = direction
+        self._body = body
+
+    def __getitem__(self, key):
+        if key == "msg":
+            return decode_body(self._body)
+        if key == "link":
+            return self._link
+        if key == "dir":
+            return self._dir
+        raise KeyError(key)
+
+    def __contains__(self, key) -> bool:
+        return key in self._KEYS
+
+    def __iter__(self):
+        return iter(self._KEYS)
+
+    def __len__(self) -> int:
+        return len(self._KEYS)
+
+    def __repr__(self) -> str:
+        return f"TranscriptEntry({self._link!r}, {self._dir!r}, {self._body!r})"
+
+
 class _Link:
     """Socket wrapper that records every message into a transcript."""
 
     def __init__(self, sock: socket.socket, name: str, transcript: list):
         sock.settimeout(IO_TIMEOUT)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            # Alice's READY and CLASSICAL are two small writes; under Nagle the
+            # second waits for the peer's delayed ACK of the first, ~40 ms
+            # (RFC 896, RFC 1122 4.2.3.2).
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.name = name
         self.transcript = transcript
 
     def send(self, msg: dict) -> None:
         try:
-            send_msg(self.sock, msg)
+            body = send_msg(self.sock, msg)
         except OSError as exc:
             self.transcript.append({"event": "aborted", "link": self.name, "reason": str(exc)})
             raise SessionAborted(f"{self.name} link lost: {exc}", self.transcript) from exc
-        self.transcript.append({"link": self.name, "dir": "send", "msg": msg})
+        self.transcript.append(TranscriptEntry(self.name, "send", body))
 
     def recv(self) -> dict:
         try:
@@ -62,7 +110,7 @@ class _Link:
         if msg is None:
             self.transcript.append({"event": "aborted", "link": self.name, "reason": "closed"})
             raise SessionAborted(f"{self.name} link closed early", self.transcript)
-        self.transcript.append({"link": self.name, "dir": "recv", "msg": msg})
+        self.transcript.append(TranscriptEntry(self.name, "recv", encode_body(msg)))
         return msg
 
     def request(self, msg: dict) -> dict:
@@ -71,6 +119,13 @@ class _Link:
         if reply.get("type") == "ERROR":
             raise SessionAborted(f"fabric error: {reply.get('error')}", self.transcript)
         return reply
+
+    def batch(self, session: int, ops: list[dict]) -> list[dict]:
+        """Run `ops` in one BATCH request; returns one reply per op."""
+        replies = self.request({"type": "BATCH", "session": session, "ops": ops})["replies"]
+        if replies[-1].get("type") == "ERROR":
+            raise SessionAborted(f"fabric error: {replies[-1].get('error')}", self.transcript)
+        return replies
 
     def close(self) -> None:
         try:
@@ -85,6 +140,35 @@ class ClientResult:
     session: int
     bits: list[int]
     transcript: list = field(default_factory=list)
+
+
+def _alice_ops(protocol: str, bit: int) -> list[dict]:
+    """Alice's fabric commands for one bit, in `teleport_bit` order."""
+    payload = {
+        "type": "ALLOC_QUBIT",
+        "alpha_re": 1.0 - bit,
+        "alpha_im": 0.0,
+        "beta_re": float(bit),
+        "beta_im": 0.0,
+    }
+    if protocol == "standard":
+        # op 0 is the payload, op 1 the pair
+        return [
+            payload,
+            {"type": "ALLOC_EPR"},
+            {"type": "APPLY", "gate": "CNOT", "qubits": ["$0.q", "$1.q_alice"]},
+            {"type": "APPLY", "gate": "H", "qubits": ["$0.q"]},
+            {"type": "MEASURE", "qubit": "$0.q"},
+            {"type": "MEASURE", "qubit": "$1.q_alice"},
+        ]
+    # op 0 is the pair; the fabric embeds the payload, op 1, into it
+    return [
+        {"type": "ALLOC_EPR"},
+        payload,
+        {"type": "APPLY", "gate": "H", "qubits": ["$0.q_alice"]},
+        {"type": "RESET", "qubit": "$0.q_alice"},
+        {"type": "RESET", "qubit": "$0.q_bob"},
+    ]
 
 
 def run_alice(fabric_addr, bob_addr, protocol: str, bits, noise_a: float | None = None) -> ClientResult:
@@ -104,47 +188,15 @@ def run_alice(fabric_addr, bob_addr, protocol: str, bits, noise_a: float | None 
         peer.send(
             {"type": "SESSION_INFO", "session": session, "protocol": protocol, "count": len(bits)}
         )
+        ops = {b: _alice_ops(protocol, b) for b in (0, 1)}
         for i, bit in enumerate(bits):
+            replies = fabric.batch(session, ops[bit])
             if protocol == "standard":
-                q_psi = fabric.request(
-                    {
-                        "type": "ALLOC_QUBIT",
-                        "session": session,
-                        "alpha_re": 1.0 - bit,
-                        "alpha_im": 0.0,
-                        "beta_re": float(bit),
-                        "beta_im": 0.0,
-                    }
-                )["q"]
-                epr = fabric.request({"type": "ALLOC_EPR", "session": session})
-                q_alice, q_bob = epr["q_alice"], epr["q_bob"]
-                fabric.request(
-                    {"type": "APPLY", "session": session, "gate": "CNOT", "qubits": [q_psi, q_alice]}
-                )
-                fabric.request(
-                    {"type": "APPLY", "session": session, "gate": "H", "qubits": [q_psi]}
-                )
-                m0 = fabric.request({"type": "MEASURE", "session": session, "qubit": q_psi})["bit"]
-                m1 = fabric.request({"type": "MEASURE", "session": session, "qubit": q_alice})["bit"]
-                peer.send({"type": "READY", "index": i, "qubit": q_bob})
+                m0, m1 = replies[4]["bit"], replies[5]["bit"]
+                peer.send({"type": "READY", "index": i, "qubit": replies[1]["q_bob"]})
                 peer.send({"type": "CLASSICAL", "b1": m1, "b2": m0})
             else:
-                epr = fabric.request({"type": "ALLOC_EPR", "session": session})
-                q0, q1 = epr["q_alice"], epr["q_bob"]
-                q_psi = fabric.request(
-                    {
-                        "type": "ALLOC_QUBIT",
-                        "session": session,
-                        "alpha_re": 1.0 - bit,
-                        "alpha_im": 0.0,
-                        "beta_re": float(bit),
-                        "beta_im": 0.0,
-                    }
-                )["q"]
-                fabric.request({"type": "APPLY", "session": session, "gate": "H", "qubits": [q0]})
-                fabric.request({"type": "RESET", "session": session, "qubit": q0})
-                fabric.request({"type": "RESET", "session": session, "qubit": q1})
-                peer.send({"type": "READY", "index": i, "qubit": q_psi})
+                peer.send({"type": "READY", "index": i, "qubit": replies[1]["q"]})
             ack = peer.recv()
             if ack.get("type") != "ACK" or ack.get("index") != i:
                 raise SessionAborted(f"bad ack for qubit {i}: {ack}", transcript)
@@ -195,20 +247,17 @@ def run_bob(listen, fabric_addr, protocol: str) -> ClientResult:
             if ready.get("type") != "READY" or ready.get("index") != i:
                 raise SessionAborted(f"expected READY {i}, got {ready}", transcript)
             qubit = ready["qubit"]
+            ops = []
             if protocol == "standard":
                 classical = peer.recv()
                 if classical.get("type") != "CLASSICAL":
                     raise SessionAborted(f"expected CLASSICAL, got {classical}", transcript)
-                b1, b2 = classical["b1"], classical["b2"]
-                if b2:
-                    fabric.request(
-                        {"type": "APPLY", "session": session, "gate": "Z", "qubits": [qubit]}
-                    )
-                if b1:
-                    fabric.request(
-                        {"type": "APPLY", "session": session, "gate": "X", "qubits": [qubit]}
-                    )
-            bit = fabric.request({"type": "MEASURE", "session": session, "qubit": qubit})["bit"]
+                if classical["b2"]:
+                    ops.append({"type": "APPLY", "gate": "Z", "qubits": [qubit]})
+                if classical["b1"]:
+                    ops.append({"type": "APPLY", "gate": "X", "qubits": [qubit]})
+            ops.append({"type": "MEASURE", "qubit": qubit})
+            bit = fabric.batch(session, ops)[-1]["bit"]
             received.append(bit)
             peer.send({"type": "ACK", "index": i})
         done = peer.recv()

@@ -9,11 +9,17 @@ For simplified-protocol sessions the pair-internal CNOT is not local to
 either party, so the fabric applies it itself while embedding the payload
 (entanglement distribution with embedding); ownership is assigned only
 afterwards, which keeps the locality audit meaningful.
+
+Per-qubit commands arrive one per request or as the ops of a BATCH, which
+runs them in order under the session lock and stops at the first error.
+In a batch op, a `qubit` or `qubits` value `"$k.field"` stands for `field`
+of the reply to op k of the same batch.
 """
 from __future__ import annotations
 
 import os
 import random
+import re
 import socketserver
 import threading
 
@@ -56,7 +62,6 @@ class Session:
         self.owner: dict[int, str] = {}
         self.retired: dict[int, int] = {}
         self.pending_pair: tuple[int, int] | None = None
-        self.classical_bits_observed = 0  # filled from transcripts, never by the fabric
         self._next_handle = 0
         self.lock = threading.Lock()
 
@@ -89,8 +94,7 @@ class Session:
             t = self.state.amps.reshape([2] * n)
             self.state = StateVector(np.take(t, value, axis=axis).reshape(-1), copy=True)
         self.handles.remove(handle)
-        self.retired[handle] = value
-        self.owner.pop(handle, None)
+        self.retired[handle] = value  # the owner entry stays: re-reads are local too
 
     def _check_owner(self, role: str, handles) -> None:
         for h in handles:
@@ -119,7 +123,7 @@ class Session:
         return {"type": "EPR", "q_alice": q0, "q_bob": q1}
 
     def alloc_qubit(self, role: str, alpha: complex, beta: complex) -> dict:
-        if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
+        if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9:  # NaN fails too
             raise FabricError("payload amplitudes are not normalized")
         (q,) = self._extend(StateVector([alpha, beta]), 1)
         if self.protocol == "simplified":
@@ -139,10 +143,10 @@ class Session:
             raise FabricError("no live qubits")
         self._check_owner(role, qubits)
         if gate == "CNOT":
-            if len(qubits) != 2:
-                raise FabricError("CNOT takes exactly two qubits")
+            if len(qubits) != 2 or qubits[0] == qubits[1]:
+                raise FabricError("CNOT takes two distinct qubits")
             self.state = apply_cnot(self.state, self._axis(qubits[0]), self._axis(qubits[1]))
-        elif gate in GATES and gate != "I":
+        elif isinstance(gate, str) and gate in GATES and gate != "I":
             if len(qubits) != 1:
                 raise FabricError(f"{gate} takes exactly one qubit")
             self.state = apply_1q(self.state, GATES[gate], self._axis(qubits[0]))
@@ -151,19 +155,19 @@ class Session:
         return {"type": "OK"}
 
     def measure(self, role: str, handle: int) -> dict:
+        self._check_owner(role, [handle])
         if handle in self.retired:
             # Re-reading a collapsed qubit is deterministic.
             return {"type": "RESULT", "bit": self.retired[handle]}
-        self._check_owner(role, [handle])
         assert self.state is not None
         bit, self.state = measure_qubit(self.state, self._axis(handle), self.rng)
         self._retire(handle, bit)
         return {"type": "RESULT", "bit": bit}
 
     def reset(self, role: str, handle: int) -> dict:
+        self._check_owner(role, [handle])
         if handle in self.retired:
             raise FabricError(f"qubit {handle} already retired")
-        self._check_owner(role, [handle])
         assert self.state is not None
         bit, self.state = measure_qubit(self.state, self._axis(handle), self.rng)
         # measure-then-flip; the retired record is |0> either way
@@ -181,6 +185,89 @@ class Session:
             rho = reduced_density(self.state, self._axis(handle)).mat
         flat = [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]
         return {"type": "RHO", "rho": flat}
+
+
+SESSION_COMMANDS = ("ALLOC_EPR", "ALLOC_QUBIT", "APPLY", "MEASURE", "RESET", "READ_RHO")
+
+# "$k.field": `field` of the reply to op k of the same batch.
+_REFERENCE = re.compile(r"\$(\d+)\.(\w+)")
+
+
+def _batch_op(op, replies: list[dict]) -> dict:
+    """Validate one batch op and resolve its `$k.field` references."""
+    if not isinstance(op, dict):
+        raise FabricError(f"batch op {op!r} is not an object")
+    if "session" in op:
+        raise FabricError("batch ops take their session from the BATCH")
+    if "qubit" in op:
+        op = dict(op, qubit=_resolve(op["qubit"], replies))
+    if isinstance(op.get("qubits"), list):
+        op = dict(op, qubits=[_resolve(q, replies) for q in op["qubits"]])
+    return op
+
+
+def _resolve(value, replies: list[dict]):
+    if not (isinstance(value, str) and value.startswith("$")):
+        return value
+    match = _REFERENCE.fullmatch(value)
+    if match is None:
+        raise FabricError(f"malformed reference {value!r}")
+    k, name = int(match[1]), match[2]
+    if k >= len(replies):
+        raise FabricError(f"reference {value!r} to an op that has not run")
+    if name not in replies[k]:
+        raise FabricError(f"reference {value!r}: reply {k} has no {name!r}")
+    return replies[k][name]
+
+
+def _as_handle(value) -> int:
+    if type(value) is not int:  # bool is an int subclass, and no handle
+        raise FabricError(f"qubit handle {value!r} is not an integer")
+    return value
+
+
+def _amplitude(msg: dict, name: str) -> complex:
+    parts = (msg.get(f"{name}_re", 0.0), msg.get(f"{name}_im", 0.0))
+    if any(type(x) not in (int, float) for x in parts):
+        raise FabricError(f"{name} amplitude is not numeric")
+    return complex(*parts)
+
+
+def _run_batch(session: Session, role: str, ops) -> dict:
+    """Run per-qubit commands in order under one session lock, stopping at
+    the first error."""
+    if not isinstance(ops, list) or not ops:
+        raise FabricError("BATCH needs a non-empty list of ops")
+    replies: list[dict] = []
+    with session.lock:
+        for op in ops:
+            try:
+                replies.append(_run(session, role, _batch_op(op, replies)))
+            except FabricError as exc:
+                replies.append({"type": "ERROR", "error": f"op {len(replies)}: {exc}"})
+                break
+    return {"type": "BATCH", "replies": replies}
+
+
+def _run(session: Session, role: str, msg: dict) -> dict:
+    """Dispatch one per-qubit command; the caller holds `session.lock`."""
+    mtype = msg.get("type")
+    if mtype == "ALLOC_EPR":
+        return session.alloc_epr(role)
+    if mtype == "ALLOC_QUBIT":
+        return session.alloc_qubit(role, _amplitude(msg, "alpha"), _amplitude(msg, "beta"))
+    if mtype == "APPLY":
+        qubits = msg.get("qubits", [])
+        if not isinstance(qubits, list):
+            raise FabricError("APPLY qubits must be a list")
+        return session.apply_gate(role, msg.get("gate"), [_as_handle(q) for q in qubits])
+    if mtype == "MEASURE":
+        return session.measure(role, _as_handle(msg.get("qubit")))
+    if mtype == "RESET":
+        return session.reset(role, _as_handle(msg.get("qubit")))
+    if mtype == "READ_RHO":
+        return session.read_rho(_as_handle(msg.get("qubit")))
+    raise FabricError(f"unknown message type {mtype!r}")
 
 
 class Fabric:
@@ -231,25 +318,13 @@ class Fabric:
             if mtype == "NEW_SESSION":
                 session = self.new_session(msg.get("protocol"), msg.get("noise_A"))
                 return {"type": "SESSION", "session": session.session_id}
-            if mtype not in ("ALLOC_EPR", "ALLOC_QUBIT", "APPLY", "MEASURE", "RESET", "READ_RHO"):
+            if mtype == "BATCH":
+                return _run_batch(self._session(msg), role, msg.get("ops"))
+            if mtype not in SESSION_COMMANDS:
                 raise FabricError(f"unknown message type {mtype!r}")
             session = self._session(msg)
             with session.lock:
-                if mtype == "ALLOC_EPR":
-                    return session.alloc_epr(role)
-                if mtype == "ALLOC_QUBIT":
-                    alpha = complex(msg.get("alpha_re", 0.0), msg.get("alpha_im", 0.0))
-                    beta = complex(msg.get("beta_re", 0.0), msg.get("beta_im", 0.0))
-                    return session.alloc_qubit(role, alpha, beta)
-                if mtype == "APPLY":
-                    return session.apply_gate(role, msg.get("gate"), msg.get("qubits", []))
-                if mtype == "MEASURE":
-                    return session.measure(role, msg.get("qubit"))
-                if mtype == "RESET":
-                    return session.reset(role, msg.get("qubit"))
-                if mtype == "READ_RHO":
-                    return session.read_rho(msg.get("qubit"))
-            raise AssertionError("unreachable")
+                return _run(session, role, msg)
         except FabricError as exc:
             return {"type": "ERROR", "error": str(exc)}
         except Exception as exc:  # keep the connection alive on bad input
@@ -300,9 +375,3 @@ class FabricServer:
         self._server.shutdown()
         self._server.server_close()
 
-
-def serve_fabric(bind: str, master_seed: int | None = None) -> FabricServer:
-    """Bind and return a running fabric (`host:port`, port 0 = ephemeral)."""
-    host, _, port = bind.rpartition(":")
-    server = FabricServer(host or "127.0.0.1", int(port), master_seed)
-    return server.start()

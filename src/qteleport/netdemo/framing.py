@@ -10,22 +10,42 @@ import struct
 
 MAX_FRAME = 1 << 24
 
+# json.dumps builds a new encoder on every call that passes separators.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 class FramingError(ValueError):
     pass
 
 
-def encode_frame(obj: dict) -> bytes:
+def encode_body(obj: dict) -> bytes:
+    """The compact UTF-8 JSON body of one frame."""
     if "type" not in obj:
         raise FramingError("message lacks a 'type' field")
-    raw = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    raw = _ENCODER.encode(obj).encode("utf-8")
     if len(raw) > MAX_FRAME:
         raise FramingError(f"frame of {len(raw)} bytes exceeds limit")
+    return raw
+
+
+def decode_body(body: bytes) -> dict:
+    """Parse one frame body; the inverse of `encode_body`."""
+    msg = json.loads(body.decode("utf-8"))
+    if not isinstance(msg, dict) or "type" not in msg:
+        raise FramingError("frame payload is not a typed object")
+    return msg
+
+
+def encode_frame(obj: dict) -> bytes:
+    raw = encode_body(obj)
     return struct.pack(">I", len(raw)) + raw
 
 
-def send_msg(sock, obj: dict) -> None:
-    sock.sendall(encode_frame(obj))
+def send_msg(sock, obj: dict) -> bytes:
+    """Send one framed message; returns its encoded body."""
+    frame = encode_frame(obj)
+    sock.sendall(frame)
+    return frame[4:]
 
 
 def _recv_exact(sock, n: int) -> bytes | None:
@@ -49,10 +69,7 @@ def recv_msg(sock) -> dict | None:
     body = _recv_exact(sock, length)
     if body is None:
         raise FramingError("connection closed mid-frame")
-    msg = json.loads(body.decode("utf-8"))
-    if not isinstance(msg, dict) or "type" not in msg:
-        raise FramingError("frame payload is not a typed object")
-    return msg
+    return decode_body(body)
 
 
 class FrameDecoder:
@@ -74,7 +91,4 @@ class FrameDecoder:
                 return out
             body = bytes(self._buf[4 : 4 + length])
             del self._buf[: 4 + length]
-            msg = json.loads(body.decode("utf-8"))
-            if not isinstance(msg, dict) or "type" not in msg:
-                raise FramingError("frame payload is not a typed object")
-            out.append(msg)
+            out.append(decode_body(body))

@@ -20,9 +20,10 @@ from qteleport.netdemo import (
     run_bob,
     transcript_audit,
 )
-from qteleport.netdemo.clients import SessionAborted
+from qteleport.netdemo import clients
+from qteleport.netdemo.clients import SessionAborted, TranscriptEntry, _alice_ops, _Link
 from qteleport.netdemo.fabric import Fabric
-from qteleport.netdemo.framing import FramingError, recv_msg
+from qteleport.netdemo.framing import FramingError, encode_body, recv_msg
 from qteleport.protocols import balanced_epr, teleport_bit
 from qteleport.seeding import derive_seed
 
@@ -144,6 +145,138 @@ def test_locality_violation_is_rejected_but_connection_survives():
     assert ok["type"] == "RESULT"
 
 
+def test_retired_qubit_is_read_only_by_its_owner():
+    fabric = Fabric(master_seed=1)
+    alice, bob = {}, {}
+    fabric.handle({"type": "HELLO", "role": "alice"}, alice)
+    fabric.handle({"type": "HELLO", "role": "bob"}, bob)
+    sid = fabric.handle({"type": "NEW_SESSION", "protocol": "standard"}, alice)["session"]
+    q_psi = fabric.handle(
+        {"type": "ALLOC_QUBIT", "session": sid, "alpha_re": 0.0, "beta_re": 1.0}, alice
+    )["q"]
+    m0 = fabric.handle({"type": "MEASURE", "session": sid, "qubit": q_psi}, alice)
+    # Bob must learn Alice's outcomes from CLASSICAL, never from the fabric.
+    err = fabric.handle({"type": "MEASURE", "session": sid, "qubit": q_psi}, bob)
+    assert err["type"] == "ERROR" and "locality" in err["error"]
+    assert fabric.handle({"type": "MEASURE", "session": sid, "qubit": q_psi}, alice) == m0
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        {"type": "MEASURE", "qubit": [0]},
+        {"type": "APPLY", "gate": ["H"], "qubits": [0]},
+        {"type": "APPLY", "gate": "CNOT", "qubits": [0, 0]},
+        {"type": "APPLY", "gate": "H", "qubits": 0},
+        {"type": "ALLOC_QUBIT", "alpha_re": "1", "beta_re": 0.0},
+        {"type": "ALLOC_QUBIT", "alpha_re": float("nan"), "beta_re": 0.0},
+    ],
+)
+def test_malformed_commands_are_rejected_not_internal_errors(request_):
+    fabric = Fabric(master_seed=1)
+    alice, sid = _alice_session(fabric, "standard")
+    fabric.handle({"type": "ALLOC_EPR", "session": sid}, alice)
+    err = fabric.handle(dict(request_, session=sid), alice)
+    assert err["type"] == "ERROR" and not err["error"].startswith("internal")
+
+
+def _alice_session(fabric, protocol):
+    conn = {}
+    fabric.handle({"type": "HELLO", "role": "alice"}, conn)
+    return conn, fabric.handle({"type": "NEW_SESSION", "protocol": protocol}, conn)["session"]
+
+
+@pytest.mark.parametrize("protocol", ["standard", "simplified"])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_batch_replies_match_single_commands(protocol, bit):
+    batched, single = Fabric(master_seed=9), Fabric(master_seed=9)
+    conn_b, sid_b = _alice_session(batched, protocol)
+    conn_s, sid_s = _alice_session(single, protocol)
+    ops = _alice_ops(protocol, bit)
+    reply = batched.handle({"type": "BATCH", "session": sid_b, "ops": ops}, conn_b)
+    assert reply["type"] == "BATCH" and len(reply["replies"]) == len(ops)
+    expected = []
+
+    def resolve(ref):
+        k, _, name = ref[1:].partition(".")
+        return expected[int(k)][name]
+
+    for op in ops:
+        op = dict(op, session=sid_s)
+        if "qubit" in op:
+            op["qubit"] = resolve(op["qubit"])
+        if "qubits" in op:
+            op["qubits"] = [resolve(q) for q in op["qubits"]]
+        expected.append(single.handle(op, conn_s))
+    assert reply["replies"] == expected
+    assert batched.sessions[sid_b].retired == single.sessions[sid_s].retired
+
+
+def test_batch_stops_at_first_error_and_checks_locality_per_op():
+    fabric = Fabric(master_seed=2)
+    alice, sid = _alice_session(fabric, "standard")
+    ops = [
+        {"type": "ALLOC_EPR"},
+        {"type": "MEASURE", "qubit": "$0.q_bob"},
+        {"type": "MEASURE", "qubit": "$0.q_alice"},
+    ]
+    reply = fabric.handle({"type": "BATCH", "session": sid, "ops": ops}, alice)
+    assert [r["type"] for r in reply["replies"]] == ["EPR", "ERROR"]
+    assert "locality" in reply["replies"][1]["error"]
+    assert fabric.sessions[sid].retired == {}
+    audit = transcript_audit([{"link": "fabric", "dir": "recv", "msg": reply}])
+    assert audit["violations"] == 1
+
+
+_BAD_REFERENCES = st.one_of(
+    st.integers(1000, 10**30).map(lambda k: f"${k}.q"),
+    st.sampled_from(["$", "$0", "$0.", "$x.q", "$-1.q", "$0.q.r", "$ 0.q", "$0.q\n",
+                     "$1e2.q", "$0.missing", "$0.type", "0.q", "q"]),
+)
+
+
+@st.composite
+def _bad_batches(draw):
+    """A BATCH whose op `pos` is bad, after `pos` good ops of a real bit."""
+    protocol = draw(st.sampled_from(["standard", "simplified"]))
+    good = _alice_ops(protocol, draw(st.integers(0, 1)))
+    pos = draw(st.integers(0, len(good) - 1))
+    forward = st.integers(pos, pos + 5).map(lambda k: f"${k}.q_alice")
+    reference = st.one_of(forward, _BAD_REFERENCES)
+    bad = draw(st.one_of(
+        st.builds(lambda ops: {"type": "BATCH", "ops": ops}, st.just(good)),
+        st.builds(lambda r: {"type": "MEASURE", "qubit": r}, reference),
+        st.builds(lambda r: {"type": "APPLY", "gate": "H", "qubits": [r]}, reference),
+        st.one_of(st.none(), st.integers(), st.text(max_size=5), st.lists(st.integers(), max_size=2)),
+        st.builds(lambda op, sid: dict(op, session=sid), st.sampled_from(good), st.integers(-1, 3)),
+    ))
+    ops = good[:pos] + [bad] + good[pos:]
+    return protocol, pos, ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_bad_batches())
+def test_fuzzed_batches_get_exactly_one_error(case):
+    protocol, pos, ops = case
+    fabric = Fabric(master_seed=4)
+    alice, sid = _alice_session(fabric, protocol)
+    reply = fabric.handle({"type": "BATCH", "session": sid, "ops": ops}, alice)
+    assert reply["type"] == "BATCH"
+    replies = reply["replies"]
+    assert len(replies) == pos + 1
+    assert [r["type"] == "ERROR" for r in replies] == [False] * pos + [True]
+    assert not replies[-1]["error"].startswith("internal")
+    assert replies[-1]["error"].startswith(f"op {pos}: ")
+
+
+@pytest.mark.parametrize("ops", [None, [], {"type": "ALLOC_EPR"}, "ALLOC_EPR"])
+def test_batch_without_an_op_list_is_one_error(ops):
+    fabric = Fabric(master_seed=4)
+    alice, sid = _alice_session(fabric, "standard")
+    reply = fabric.handle({"type": "BATCH", "session": sid, "ops": ops}, alice)
+    assert reply["type"] == "ERROR" and not reply["error"].startswith("internal")
+
+
 def test_unknown_message_type_yields_error_reply():
     fabric = Fabric(master_seed=1)
     conn = {}
@@ -258,8 +391,16 @@ def test_wire_matches_in_process_bit_for_bit(fabric_server, protocol, noise_a):
         from qteleport.protocols import NoisyEprParams, noisy_epr
 
         pair = noisy_epr(NoisyEprParams.from_a(noise_a))
-    reference = [teleport_bit(b, protocol, pair, session_rng).received for b in bits]
-    assert bob.bits == reference
+    reference = [teleport_bit(b, protocol, pair, session_rng) for b in bits]
+    assert bob.bits == [r.received for r in reference]
+    # Per-bit payloads give Bob's bits regardless of draw order; the
+    # disambiguation bits pin Alice's measurement draws too.
+    sent_classical = [
+        (e["msg"]["b1"], e["msg"]["b2"]) for e in alice.transcript
+        if "msg" in e and e["dir"] == "send" and e["msg"]["type"] == "CLASSICAL"
+    ]
+    assert sent_classical == [r.disambiguation for r in reference if r.disambiguation is not None]
+    assert len(sent_classical) == (len(bits) if protocol == "standard" else 0)
 
 
 def test_sampled_fixture_bits_over_loopback_match_pipeline(fabric_server, image_16, ppm_16, tmp_path):
@@ -290,6 +431,49 @@ def test_audit_empty_transcript_and_malformed_entries():
         transcript_audit([{"nonsense": 1}])
     with pytest.raises(ValueError):
         transcript_audit("not a list")
+
+
+def test_audit_accepts_records_and_reloaded_dicts():
+    msgs = [
+        ("peer", "send", {"type": "CLASSICAL", "b1": 1, "b2": 0}),
+        ("fabric", "recv", {"type": "ERROR", "error": "locality violation: bob"}),
+    ]
+    records = [TranscriptEntry(link, d, encode_body(m)) for link, d, m in msgs]
+    records.append({"event": "aborted", "link": "peer", "reason": "closed"})
+    reloaded = json.loads(json.dumps([dict(e) for e in records]))
+    assert reloaded[0] == {"link": "peer", "dir": "send", "msg": msgs[0][2]}
+    expected = {"classical_bits": 2, "messages": 3, "violations": 1}
+    assert transcript_audit(records) == transcript_audit(reloaded) == expected
+
+
+def test_transcript_entry_decodes_only_msg_and_caches_nothing(monkeypatch):
+    msg = {"type": "READY", "index": 3, "qubit": 7}
+    entry = TranscriptEntry("peer", "send", encode_body(msg))
+    decodes = []
+    real = clients.decode_body
+    monkeypatch.setattr(clients, "decode_body", lambda body: decodes.append(body) or real(body))
+    assert "msg" in entry and "event" not in entry and len(entry) == 3
+    assert list(entry) == ["link", "dir", "msg"]
+    assert (entry["link"], entry["dir"], entry.get("event")) == ("peer", "send", None)
+    assert decodes == []
+    assert entry["msg"] == msg and entry.get("msg") == msg
+    assert len(decodes) == 2
+    with pytest.raises(AttributeError):
+        entry.cache = msg  # slotted: no room for a decoded copy
+
+
+def test_links_set_tcp_nodelay():
+    listen = socket.create_server(("127.0.0.1", 0))
+    client = socket.create_connection(listen.getsockname())
+    server, _ = listen.accept()
+    try:
+        for sock in (client, server):
+            assert not sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            _Link(sock, "peer", [])
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    finally:
+        for sock in (client, server, listen):
+            sock.close()
 
 
 def test_protocol_mismatch_aborts(fabric_server):
@@ -371,7 +555,7 @@ def test_cli_netdemo_over_loopback(fabric_server, tmp_path, capsys):
         result = rb(bob_sock, fabric, "standard")
         rc_holder["bits"] = result.bits
         with open(bob_transcript, "w") as fh:
-            json.dump({"entries": result.transcript}, fh)
+            json.dump({"entries": [dict(e) for e in result.transcript]}, fh)
 
     thread = threading.Thread(target=bob_side)
     thread.start()
