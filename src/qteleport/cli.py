@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=_sample_arg, default=None, help="'all' or a bit count")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--engine", action="store_true", help="use the full statevector executor")
 
     p = sub.add_parser("bitplanes", help="dump the 24 bitplanes as PBM files")
     p.add_argument("--in", dest="input", required=True)
@@ -89,7 +88,6 @@ def _cmd_teleport_image(args) -> int:
         seed=args.seed,
         sample=args.sample,
         threads=args.threads,
-        executor="engine" if args.engine else "fast",
     )
     report = teleport_image(config)
     c = report.coincidence

@@ -244,7 +244,3 @@ def dump_state(state: StateVector) -> str:
         lines.append(f"{i}\t{bits}\t{amp.real:.17g}\t{amp.imag:.17g}")
     return "\n".join(lines) + "\n"
 
-
-def states_close(a: StateVector, b: StateVector, tol: float = NORM_TOL) -> bool:
-    """Exact amplitude comparison (no global-phase allowance)."""
-    return a.n == b.n and bool(np.max(np.abs(a.amps - b.amps)) <= tol)

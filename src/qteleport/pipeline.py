@@ -4,13 +4,13 @@ state, reassemble the received bits, and score the result with a
 coincidence counter.
 
 Bits are consumed two at a time, mirroring a two-lane transmitter: each
-pair passes through the classical-to-quantum interface, each qubit rides
-its own fresh 3-qubit register, and the quantum-to-classical readout
-recovers the bits. An odd tail is padded with a zero ancilla that is
-excluded from scoring.
+qubit of a pair rides its own fresh 3-qubit register and is read out as a
+bit. An odd tail is padded with a zero ancilla that is teleported (and
+costs its classical bits) but is excluded from scoring.
 
-Workers own disjoint pair ranges with seeds derived from
-(master seed, range start), so output is independent of thread count.
+Bits stay in numpy arrays from decomposition to scoring. The sequence is cut
+into ranges of RANGE_PAIRS pairs, each with a stream seeded from (master
+seed, range start), so output is independent of thread count.
 """
 from __future__ import annotations
 
@@ -19,32 +19,28 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from .core import SQRT2_INV, PureQubit
 from .imaging import (
-    BitAddress,
+    BITS_PER_PIXEL,
     RasterImage,
-    address_of,
     bit_array,
     image_from_bits,
-    linear_index,
     load_raster,
     write_raster,
 )
 from .protocols import (
     NoisyEprParams,
     balanced_epr,
-    noisy_epr,
     teleport_bit,
     teleport_simplified,
     teleport_standard,
 )
 from .sdc import sdc_roundtrip
-from .seeding import derive_seed
+from .seeding import derive_seed, uniforms
 
 PROTOCOLS = ("standard", "simplified")
 RANGE_PAIRS = 2048  # worker range size, in pairs
@@ -62,7 +58,6 @@ class PipelineConfig:
     seed: int = 0
     sample: int | None = None  # None teleports every bit
     threads: int = 1
-    executor: str = "fast"  # "fast" scalar loop or "engine" full simulator
 
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -71,8 +66,6 @@ class PipelineConfig:
             raise ValueError(f"noise amplitude {self.noise_a} outside (0, 1]")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.executor not in ("fast", "engine"):
-            raise ValueError(f"unknown executor {self.executor!r}")
 
     def epr_amplitudes(self) -> tuple[float, float]:
         if self.noise_a is None:
@@ -90,7 +83,6 @@ class PipelineConfig:
             "seed": self.seed,
             "sample": self.sample,
             "threads": self.threads,
-            "executor": self.executor,
         }
 
 
@@ -135,7 +127,7 @@ class TeleportReport:
     stage_seconds: dict[str, float]
     throughput_bits_per_sec: float
     engine_version: str = __version__
-    schema: int = 1
+    schema: int = 2
 
     def to_dict(self) -> dict:
         return {
@@ -195,49 +187,56 @@ def plane_key(channel: int, plane: int) -> str:
     return f"{'RGB'[channel]}{plane}"
 
 
-def sample_bits(img: RasterImage, n: int, seed: int) -> list[tuple[BitAddress, int]]:
-    """Uniform sample of n bits without replacement, in draw order."""
+def sample_bits(img: RasterImage, n: int, seed: int) -> np.ndarray:
+    """Uniform sample of n bits without replacement: their positions in the
+    canonical enumeration, as an int64 array in draw order."""
     total = img.total_bits()
     if not 0 < n <= total:
         raise ValueError(f"sample size {n} outside 1..{total}")
     rng = random.Random(derive_seed(seed, "sample"))
-    indices = rng.sample(range(total), n)
-    bits = bit_array(img)
-    w, h = img.width, img.height
-    return [(address_of(i, w, h), int(bits[i])) for i in indices]
+    return np.array(rng.sample(range(total), n), dtype=np.int64)
 
 
 def coincidence_count(
-    sent: Sequence[tuple[BitAddress, int]],
-    received: Sequence[tuple[BitAddress, int]],
+    sent_bits: np.ndarray,
+    received_bits: np.ndarray,
+    width: int,
+    height: int,
+    indices: np.ndarray | None = None,
     histogram: dict[str, int] | None = None,
     classical_bits: int = 0,
 ) -> CoincidenceReport:
     """Exact match counting with a per-plane breakdown.
 
-    Planes that received no bits report None and stay out of the aggregate
-    denominator (which only ever counts scored bits).
+    Without `indices` the bits are the whole image in canonical order;
+    otherwise `indices[i]` is the canonical position of bit i. Planes that
+    received no bits report None and stay out of the aggregate denominator
+    (which only ever counts scored bits).
     """
-    if len(sent) != len(received):
-        raise ValueError(f"length mismatch: {len(sent)} sent vs {len(received)} received")
-    matched = 0
-    plane_total: dict[str, int] = {}
-    plane_hit: dict[str, int] = {}
-    for (addr_s, bit_s), (addr_r, bit_r) in zip(sent, received):
-        if addr_s != addr_r:
-            raise ValueError(f"misaligned addresses {addr_s} vs {addr_r}")
-        key = plane_key(addr_s.channel, addr_s.plane)
-        plane_total[key] = plane_total.get(key, 0) + 1
-        hit = int(bit_s == bit_r)
-        matched += hit
-        plane_hit[key] = plane_hit.get(key, 0) + hit
+    if sent_bits.size != received_bits.size:
+        raise ValueError(
+            f"length mismatch: {sent_bits.size} sent vs {received_bits.size} received"
+        )
+    per_plane_bits = width * height
+    matches = sent_bits == received_bits
+    if indices is None:
+        # One row per plane: no per-bit plane keys on the full-image path.
+        plane_hit = matches.reshape(BITS_PER_PIXEL, per_plane_bits).sum(axis=1)
+        plane_total = np.full(BITS_PER_PIXEL, per_plane_bits)
+    else:
+        if indices.size != sent_bits.size:
+            raise ValueError(f"{indices.size} indices for {sent_bits.size} bits")
+        plane_of = indices // per_plane_bits
+        plane_total = np.bincount(plane_of, minlength=BITS_PER_PIXEL)
+        plane_hit = np.bincount(plane_of[matches], minlength=BITS_PER_PIXEL)
     per_plane: dict[str, float | None] = {}
     for channel in range(3):
-        for plane in range(7, -1, -1):
-            key = plane_key(channel, plane)
-            tot = plane_total.get(key, 0)
-            per_plane[key] = (plane_hit.get(key, 0) / tot) if tot else None
-    total = len(sent)
+        for pos, plane in enumerate(range(7, -1, -1)):
+            row = channel * PLANE_COUNT + pos
+            tot = int(plane_total[row])
+            per_plane[plane_key(channel, plane)] = int(plane_hit[row]) / tot if tot else None
+    total = int(sent_bits.size)
+    matched = int(matches.sum())
     return CoincidenceReport(
         total_bits=total,
         matched=matched,
@@ -248,93 +247,26 @@ def coincidence_count(
     )
 
 
-def _score_full_run(
-    sent_bits: np.ndarray,
-    received_bits: np.ndarray,
-    width: int,
-    height: int,
-    histogram: dict[str, int],
-    classical_bits: int,
-) -> CoincidenceReport:
-    """Vectorized scorer for whole-image runs; same report as
-    coincidence_count over the canonical enumeration, without building
-    millions of address tuples."""
-    if sent_bits.size != received_bits.size:
-        raise ValueError("length mismatch between sent and received bits")
-    matches = sent_bits == received_bits
-    per_pixel = width * height
-    by_plane = matches.reshape(3, PLANE_COUNT, per_pixel).sum(axis=2)
-    per_plane: dict[str, float | None] = {}
-    for channel in range(3):
-        for pos, plane in enumerate(range(7, -1, -1)):
-            per_plane[plane_key(channel, plane)] = float(by_plane[channel, pos]) / per_pixel
-    matched = int(matches.sum())
-    return CoincidenceReport(
-        total_bits=int(sent_bits.size),
-        matched=matched,
-        coincidence=matched / sent_bits.size,
-        per_plane=per_plane,
-        per_outcome_histogram=dict(histogram),
-        classical_bits_total=classical_bits,
-    )
+def _run_range(bits: np.ndarray, protocol: str, a: float, b: float, seed: int):
+    """Teleport one range of basis-state payloads; returns (received bits,
+    4-bin outcome histogram, classical bits sent).
 
-
-def _run_range_fast(bits: Sequence[int], protocol: str, a: float, b: float, seed: int):
-    """Scalar standard-protocol teleport specialized to basis-state payloads.
-
-    Consumes three uniform draws per bit in the same order as the full
-    simulator (payload-wire measurement, pair-half measurement, Bob's
-    readout), so its statistics match the engine path.
+    Takes three uniform draws per bit from `random.Random(seed)`, in the
+    order `teleport_bit` consumes them: the two measurements of Alice's
+    wires (for the simplified protocol, the two resets), then Bob's readout.
+    The Born probabilities are those of a basis-state payload, so the
+    outcomes equal `teleport_bit`'s draw for draw.
     """
-    rng = random.Random(seed)
-    rand = rng.random
+    u = uniforms(random.Random(seed), 3 * bits.size).reshape(-1, 3)
+    received = (u[:, 2] < bits).astype(np.uint8)
+    if protocol != "standard":
+        return received, np.zeros(4, dtype=np.int64), 0
     a2, b2 = a * a, b * b
     norm = a2 + b2
-    p_first = norm / 2.0
-    received = []
-    hist = [0, 0, 0, 0]
-    for bit in bits:
-        m0 = 1 if rand() < p_first else 0
-        p_m1 = (a2 if bit else b2) / norm
-        m1 = 1 if rand() < p_m1 else 0
-        r = 1 if rand() < (1.0 if bit else 0.0) else 0
-        received.append(r)
-        hist[(m1 << 1) | m0] += 1
-    return received, hist, 2 * len(received)
-
-
-def _run_range_fast_simplified(bits, a, b, seed):
-    """Simplified-protocol scalar loop with the exact engine draw order.
-
-    The two reset outcomes never influence the delivered qubit, but each
-    reset still consumes its measurement draw before Bob's readout draw.
-    """
-    rng = random.Random(seed)
-    rand = rng.random
-    received = []
-    for bit in bits:
-        rand()  # reset of pair qubit 0
-        rand()  # reset of pair qubit 1
-        r = 1 if rand() < (1.0 if bit else 0.0) else 0
-        received.append(r)
-    return received, [0, 0, 0, 0], 0
-
-
-def _run_range_engine(bits: Sequence[int], protocol: str, a: float, b: float, seed: int):
-    """Reference executor: every bit through the full statevector circuit."""
-    rng = random.Random(seed)
-    epr = balanced_epr() if (a == SQRT2_INV and b == SQRT2_INV) else noisy_epr(NoisyEprParams(a, b))
-    received = []
-    hist = [0, 0, 0, 0]
-    classical = 0
-    for bit in bits:
-        res = teleport_bit(int(bit), protocol, epr, rng)
-        received.append(res.received)
-        if res.disambiguation is not None:
-            b1, b2 = res.disambiguation
-            hist[(b1 << 1) | b2] += 1
-            classical += 2
-    return received, hist, classical
+    m0 = (u[:, 0] < norm / 2.0).astype(np.int64)
+    m1 = (u[:, 1] < np.where(bits, a2, b2) / norm).astype(np.int64)
+    hist = np.bincount((m1 << 1) | m0, minlength=4)
+    return received, hist, 2 * bits.size
 
 
 def _teleport_bit_sequence(
@@ -343,48 +275,28 @@ def _teleport_bit_sequence(
     """Teleport a flat bit sequence pairwise; returns (received, histogram,
     classical_bits, pairs)."""
     a, b = config.epr_amplitudes()
-    work = bits.tolist() if isinstance(bits, np.ndarray) else [int(x) for x in bits]
-    padded = len(work) % 2 == 1
-    if padded:
-        work.append(0)
-    pairs = len(work) // 2
+    n = bits.size
+    if n % 2:
+        bits = np.append(bits, np.uint8(0))  # the ancilla; never scored
+    pairs = bits.size // 2
 
-    ranges = []
-    for start_pair in range(0, pairs, RANGE_PAIRS):
-        lo = start_pair * 2
-        hi = min(pairs, start_pair + RANGE_PAIRS) * 2
-        ranges.append((start_pair, work[lo:hi]))
-
-    if config.executor == "engine":
-        runner = _run_range_engine
-    elif config.protocol == "simplified":
-        runner = lambda chunk, protocol, a, b, seed: _run_range_fast_simplified(chunk, a, b, seed)
-    else:
-        runner = _run_range_fast
-
-    def job(arg):
-        start_pair, chunk = arg
+    def job(start_pair: int):
+        chunk = bits[2 * start_pair : 2 * (start_pair + RANGE_PAIRS)]
         seed = derive_seed(config.seed, "teleport", start_pair)
-        return runner(chunk, config.protocol, a, b, seed)
+        return _run_range(chunk, config.protocol, a, b, seed)
 
-    if config.threads > 1 and len(ranges) > 1:
+    starts = range(0, pairs, RANGE_PAIRS)
+    if config.threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(job, ranges))
+            results = list(pool.map(job, starts))
     else:
-        results = [job(r) for r in ranges]
+        results = [job(s) for s in starts]
 
-    received: list[int] = []
-    hist = [0, 0, 0, 0]
-    classical = 0
-    for r, h, c in results:
-        received.extend(r)
-        for i in range(4):
-            hist[i] += h[i]
-        classical += c
-    if padded:
-        received.pop()  # ancilla is never scored
-    histogram = {OUTCOME_KEYS[i]: hist[i] for i in range(4)}
-    return np.array(received, dtype=np.uint8), histogram, classical, pairs
+    received = np.concatenate([r for r, _, _ in results])[:n]
+    hist = sum(h for _, h, _ in results)
+    histogram = {key: int(count) for key, count in zip(OUTCOME_KEYS, hist)}
+    classical = sum(c for _, _, c in results)
+    return received, histogram, classical, pairs
 
 
 def teleport_image(config: PipelineConfig) -> TeleportReport:
@@ -401,13 +313,11 @@ def teleport_image(config: PipelineConfig) -> TeleportReport:
     all_bits = bit_array(img)
     w, h = img.width, img.height
     if config.sample is None:
-        sent = None  # whole image in canonical order; scored vectorized
-        sel_indices = None
+        indices = None  # whole image in canonical order
         sent_bits = all_bits
     else:
-        sent = sample_bits(img, config.sample, config.seed)
-        sel_indices = np.array([linear_index(addr, w, h) for addr, _ in sent], dtype=np.int64)
-        sent_bits = np.array([bit for _, bit in sent], dtype=np.uint8)
+        indices = sample_bits(img, config.sample, config.seed)
+        sent_bits = all_bits[indices]
     stages["decompose"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -415,11 +325,11 @@ def teleport_image(config: PipelineConfig) -> TeleportReport:
     stages["teleport"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    if sel_indices is None:
+    if indices is None:
         out_bits = received_bits
     else:
         out_bits = all_bits.copy()
-        out_bits[sel_indices] = received_bits
+        out_bits[indices] = received_bits
     out_img = image_from_bits(out_bits, w, h)
     if config.output_path:
         with open(config.output_path, "wb") as fh:
@@ -427,13 +337,9 @@ def teleport_image(config: PipelineConfig) -> TeleportReport:
     stages["reconstruct"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    if config.protocol == "simplified":
-        histogram = {k: 0 for k in OUTCOME_KEYS}
-    if sent is None:
-        coincidence = _score_full_run(sent_bits, received_bits, w, h, histogram, classical)
-    else:
-        received = [(addr, int(bit)) for (addr, _), bit in zip(sent, received_bits)]
-        coincidence = coincidence_count(sent, received, histogram, classical)
+    coincidence = coincidence_count(
+        sent_bits, received_bits, w, h, indices, histogram, classical
+    )
     stages["score"] = time.perf_counter() - t
 
     wall = time.perf_counter() - t_start
