@@ -203,19 +203,8 @@ def image_from_bits(bits: np.ndarray, width: int, height: int) -> RasterImage:
     return RasterImage(channels.transpose(1, 2, 0).copy())
 
 
-def linear_index(addr: BitAddress, width: int, height: int) -> int:
-    """Position of an address in the canonical enumeration."""
-    per_plane = width * height
-    return (
-        addr.channel * PLANES_PER_CHANNEL * per_plane
-        + (7 - addr.plane) * per_plane
-        + addr.row * width
-        + addr.col
-    )
-
-
 def address_of(index: int, width: int, height: int) -> BitAddress:
-    """Inverse of linear_index."""
+    """The address at a position of the canonical enumeration."""
     per_plane = width * height
     channel, rem = divmod(index, PLANES_PER_CHANNEL * per_plane)
     plane_pos, rem = divmod(rem, per_plane)

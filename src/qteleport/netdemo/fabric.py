@@ -276,7 +276,7 @@ class Fabric:
     def __init__(self, master_seed: int | None = None):
         if master_seed is None:
             env = os.environ.get(ENV_SEED)
-            master_seed = int(env) if env else random.SystemRandom().getrandbits(62)
+            master_seed = int(env) if env else int.from_bytes(os.urandom(8), "big") >> 2
         self.master_seed = master_seed
         self.sessions: dict[int, Session] = {}
         self._next_session = 0

@@ -9,8 +9,8 @@ bit. An odd tail is padded with a zero ancilla that is teleported (and
 costs its classical bits) but is excluded from scoring.
 
 Bits stay in numpy arrays from decomposition to scoring. The sequence is cut
-into ranges of RANGE_PAIRS pairs, each with a stream seeded from (master
-seed, range start), so output is independent of thread count.
+into ranges of RANGE_PAIRS pairs, each with its own PCG64 stream seeded from
+(master seed, range start), so output is independent of thread count.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from .protocols import (
     teleport_standard,
 )
 from .sdc import sdc_roundtrip
-from .seeding import derive_seed, uniforms
+from .seeding import derive_seed
 
 PROTOCOLS = ("standard", "simplified")
 RANGE_PAIRS = 2048  # worker range size, in pairs
@@ -127,12 +127,14 @@ class TeleportReport:
     stage_seconds: dict[str, float]
     throughput_bits_per_sec: float
     engine_version: str = __version__
-    schema: int = 2
+    schema: int = 3
+    rng: str = "pcg64"  # the bit generator behind every pipeline stream
 
     def to_dict(self) -> dict:
         return {
             "schema": self.schema,
             "engine_version": self.engine_version,
+            "rng": self.rng,
             "config": self.config,
             "coincidence": self.coincidence.to_dict(),
             "bits_teleported": self.bits_teleported,
@@ -147,6 +149,8 @@ class TeleportReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TeleportReport":
+        if d.get("schema") != cls.schema:
+            raise ValueError(f"report schema {d.get('schema')!r}; this version reads {cls.schema}")
         return cls(
             config=dict(d["config"]),
             coincidence=CoincidenceReport.from_dict(d["coincidence"]),
@@ -157,6 +161,7 @@ class TeleportReport:
             throughput_bits_per_sec=d["throughput_bits_per_sec"],
             engine_version=d["engine_version"],
             schema=d["schema"],
+            rng=d["rng"],
         )
 
     @classmethod
@@ -193,8 +198,8 @@ def sample_bits(img: RasterImage, n: int, seed: int) -> np.ndarray:
     total = img.total_bits()
     if not 0 < n <= total:
         raise ValueError(f"sample size {n} outside 1..{total}")
-    rng = random.Random(derive_seed(seed, "sample"))
-    return np.array(rng.sample(range(total), n), dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "sample")))
+    return rng.choice(total, n, replace=False).astype(np.int64, copy=False)
 
 
 def coincidence_count(
@@ -251,13 +256,15 @@ def _run_range(bits: np.ndarray, protocol: str, a: float, b: float, seed: int):
     """Teleport one range of basis-state payloads; returns (received bits,
     4-bin outcome histogram, classical bits sent).
 
-    Takes three uniform draws per bit from `random.Random(seed)`, in the
-    order `teleport_bit` consumes them: the two measurements of Alice's
-    wires (for the simplified protocol, the two resets), then Bob's readout.
-    The Born probabilities are those of a basis-state payload, so the
-    outcomes equal `teleport_bit`'s draw for draw.
+    Takes three uniform draws per bit from a PCG64 `Generator` seeded with
+    `seed`, in the order `teleport_bit` consumes them: the two measurements
+    of Alice's wires (for the simplified protocol, the two resets), then
+    Bob's readout. Row i of the draw array holds bit i's three draws, which
+    are the values three scalar `Generator.random()` calls return. The Born
+    probabilities are those of a basis-state payload, so the outcomes equal
+    `teleport_bit`'s draw for draw.
     """
-    u = uniforms(random.Random(seed), 3 * bits.size).reshape(-1, 3)
+    u = np.random.Generator(np.random.PCG64(seed)).random((bits.size, 3))
     received = (u[:, 2] < bits).astype(np.uint8)
     if protocol != "standard":
         return received, np.zeros(4, dtype=np.int64), 0
@@ -273,17 +280,21 @@ def _teleport_bit_sequence(
     bits: np.ndarray, config: PipelineConfig
 ) -> tuple[np.ndarray, dict[str, int], int, int]:
     """Teleport a flat bit sequence pairwise; returns (received, histogram,
-    classical_bits, pairs)."""
+    classical_bits, pairs). Each range writes its own slice of one
+    preallocated output array."""
     a, b = config.epr_amplitudes()
     n = bits.size
     if n % 2:
         bits = np.append(bits, np.uint8(0))  # the ancilla; never scored
     pairs = bits.size // 2
+    received = np.empty(bits.size, dtype=np.uint8)
 
     def job(start_pair: int):
-        chunk = bits[2 * start_pair : 2 * (start_pair + RANGE_PAIRS)]
+        lo, hi = 2 * start_pair, 2 * (start_pair + RANGE_PAIRS)
         seed = derive_seed(config.seed, "teleport", start_pair)
-        return _run_range(chunk, config.protocol, a, b, seed)
+        got, hist, classical = _run_range(bits[lo:hi], config.protocol, a, b, seed)
+        received[lo:hi] = got
+        return hist, classical
 
     starts = range(0, pairs, RANGE_PAIRS)
     if config.threads > 1 and len(starts) > 1:
@@ -292,11 +303,10 @@ def _teleport_bit_sequence(
     else:
         results = [job(s) for s in starts]
 
-    received = np.concatenate([r for r, _, _ in results])[:n]
-    hist = sum(h for _, h, _ in results)
+    hist = sum(h for h, _ in results)
     histogram = {key: int(count) for key, count in zip(OUTCOME_KEYS, hist)}
-    classical = sum(c for _, _, c in results)
-    return received, histogram, classical, pairs
+    classical = sum(c for _, c in results)
+    return received[:n], histogram, classical, pairs
 
 
 def teleport_image(config: PipelineConfig) -> TeleportReport:

@@ -5,7 +5,9 @@ by conditionally applying X then Z to qubit 0 of a shared balanced pair.
 The decoder half runs CNOT(0->1) and H(0), landing on the basis state
 |b1 b2>, which a z-measurement reads out exactly. Chaining the halves gives
 a deterministic bits -> register -> bits path for any register of basis
-states, which is what the image pipeline rides on.
+states. The image pipeline does not run its bits through this chain: it
+embeds each bit directly as a basis state and teleports that. The chain is
+exercised by the `sdc` partial demo (`pipeline.run_partial_demos`).
 """
 from __future__ import annotations
 

@@ -190,17 +190,17 @@ def test_criterion_8_networked_demo():
         bits = [rng.randint(0, 1) for _ in range(100)]
         ok = True
         for protocol, expected_classical in (("standard", 200), ("simplified", 0)):
-            listen = socket.create_server(("127.0.0.1", 0))
-            bob_addr = listen.getsockname()
             holder = {}
+            with socket.create_server(("127.0.0.1", 0)) as listen:
+                bob_addr = listen.getsockname()
 
-            def bob_side(sock=listen, proto=protocol):
-                holder["bob"] = run_bob(sock, server.address, proto)
+                def bob_side(sock=listen, proto=protocol):
+                    holder["bob"] = run_bob(sock, server.address, proto)
 
-            thread = threading.Thread(target=bob_side)
-            thread.start()
-            alice = run_alice(server.address, bob_addr, protocol, bits)
-            thread.join(timeout=60)
+                thread = threading.Thread(target=bob_side)
+                thread.start()
+                alice = run_alice(server.address, bob_addr, protocol, bits)
+                thread.join(timeout=60)
             bob = holder["bob"]
             ok = ok and bob.bits == bits
             ok = ok and transcript_audit(alice.transcript)["classical_bits"] == expected_classical

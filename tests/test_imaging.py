@@ -14,7 +14,6 @@ from qteleport.imaging import (
     bit_array,
     bit_stream,
     image_from_bits,
-    linear_index,
     load_raster,
     slice_bitplanes,
     write_bitplane,
@@ -188,7 +187,6 @@ def test_bit_stream_is_a_bijection():
 def test_bit_array_matches_bit_stream(image_16):
     flat = bit_array(image_16)
     for i, (addr, bit) in enumerate(bit_stream(image_16)):
-        assert linear_index(addr, image_16.width, image_16.height) == i
         assert address_of(i, image_16.width, image_16.height) == addr
         assert int(flat[i]) == bit
         if i > 2000:  # spot check is plenty beyond the first planes

@@ -38,17 +38,18 @@ def fabric_server():
 
 
 def run_session(fabric_addr, protocol, bits, noise_a=None):
-    listen = socket.create_server(("127.0.0.1", 0))
-    bob_addr = listen.getsockname()
     result = {}
+    # run_bob closes only the sockets it opens; the listener is ours.
+    with socket.create_server(("127.0.0.1", 0)) as listen:
+        bob_addr = listen.getsockname()
 
-    def bob_side():
-        result["bob"] = run_bob(listen, fabric_addr, protocol)
+        def bob_side():
+            result["bob"] = run_bob(listen, fabric_addr, protocol)
 
-    thread = threading.Thread(target=bob_side)
-    thread.start()
-    result["alice"] = run_alice(fabric_addr, bob_addr, protocol, bits, noise_a=noise_a)
-    thread.join(timeout=60)
+        thread = threading.Thread(target=bob_side)
+        thread.start()
+        result["alice"] = run_alice(fabric_addr, bob_addr, protocol, bits, noise_a=noise_a)
+        thread.join(timeout=60)
     assert "bob" in result, "bob never finished"
     return result["alice"], result["bob"]
 
@@ -478,38 +479,38 @@ def test_links_set_tcp_nodelay():
 
 
 def test_protocol_mismatch_aborts(fabric_server):
-    listen = socket.create_server(("127.0.0.1", 0))
-    bob_addr = listen.getsockname()
     failure = {}
+    with socket.create_server(("127.0.0.1", 0)) as listen:
+        bob_addr = listen.getsockname()
 
-    def bob_side():
-        try:
-            run_bob(listen, fabric_server.address, "simplified")
-        except SessionAborted as exc:
-            failure["err"] = exc
+        def bob_side():
+            try:
+                run_bob(listen, fabric_server.address, "simplified")
+            except SessionAborted as exc:
+                failure["err"] = exc
 
-    thread = threading.Thread(target=bob_side)
-    thread.start()
-    with pytest.raises(SessionAborted):
-        run_alice(fabric_server.address, bob_addr, "standard", [0, 1])
-    thread.join(timeout=30)
+        thread = threading.Thread(target=bob_side)
+        thread.start()
+        with pytest.raises(SessionAborted):
+            run_alice(fabric_server.address, bob_addr, "standard", [0, 1])
+        thread.join(timeout=30)
     assert "protocol mismatch" in str(failure["err"])
 
 
 def test_connection_loss_flags_partial_transcript(fabric_server):
-    listen = socket.create_server(("127.0.0.1", 0))
-    bob_addr = listen.getsockname()
+    with socket.create_server(("127.0.0.1", 0)) as listen:
+        bob_addr = listen.getsockname()
 
-    def rude_bob():
-        conn, _ = listen.accept()
-        recv_msg(conn)  # read SESSION_INFO, then vanish mid-session
-        conn.close()
+        def rude_bob():
+            conn, _ = listen.accept()
+            recv_msg(conn)  # read SESSION_INFO, then vanish mid-session
+            conn.close()
 
-    thread = threading.Thread(target=rude_bob)
-    thread.start()
-    with pytest.raises(SessionAborted) as excinfo:
-        run_alice(fabric_server.address, bob_addr, "standard", [1, 1, 1])
-    thread.join(timeout=30)
+        thread = threading.Thread(target=rude_bob)
+        thread.start()
+        with pytest.raises(SessionAborted) as excinfo:
+            run_alice(fabric_server.address, bob_addr, "standard", [1, 1, 1])
+        thread.join(timeout=30)
     assert any("aborted" in str(e.get("event", "")) for e in excinfo.value.transcript)
 
 
@@ -560,12 +561,13 @@ def test_cli_netdemo_over_loopback(fabric_server, tmp_path, capsys):
 
     thread = threading.Thread(target=bob_side)
     thread.start()
-    rc = cli_main([
-        "alice", "--fabric", fabric, "--bob", f"127.0.0.1:{bob_port}",
-        "--protocol", "standard", "--bits-from", str(bits_file),
-        "--transcript", str(alice_transcript),
-    ])
-    thread.join(timeout=60)
+    with bob_sock:
+        rc = cli_main([
+            "alice", "--fabric", fabric, "--bob", f"127.0.0.1:{bob_port}",
+            "--protocol", "standard", "--bits-from", str(bits_file),
+            "--transcript", str(alice_transcript),
+        ])
+        thread.join(timeout=60)
     assert rc == 0
     assert rc_holder["bits"] == [1, 0, 1, 1, 0, 0, 1, 0]
     entries = json.loads(alice_transcript.read_text())["entries"]

@@ -1,6 +1,6 @@
 """Pipeline tests: sampling, scoring, full-image runs, determinism, CLI."""
+import dataclasses
 import json
-import random
 
 import numpy as np
 import pytest
@@ -218,7 +218,7 @@ def _reference_sequence(bits, protocol, noise_a, seed):
     work = [int(b) for b in bits] + [0] * (len(bits) % 2)
     received, hist, classical = [], dict.fromkeys(OUTCOME_KEYS, 0), 0
     for lo in range(0, len(work), 2 * RANGE_PAIRS):
-        rng = random.Random(derive_seed(seed, "teleport", lo // 2))
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "teleport", lo // 2)))
         for bit in work[lo : lo + 2 * RANGE_PAIRS]:
             res = teleport_bit(bit, protocol, epr, rng)
             received.append(res.received)
@@ -253,14 +253,15 @@ def test_pipeline_matches_teleport_bit_draw_for_draw(
 @pytest.mark.parametrize(
     "fixture, sample, seed, golden",
     [
-        ("ppm_64", None, 31, {"00": 24622, "01": 24515, "10": 24466, "11": 24701}),
-        ("ppm_16", 1000, 777, {"00": 260, "01": 255, "10": 227, "11": 258}),
+        ("ppm_64", None, 31, {"00": 24558, "01": 24551, "10": 24734, "11": 24461}),
+        ("ppm_16", 1000, 777, {"00": 252, "01": 258, "10": 238, "11": 252}),
     ],
     ids=["ppm_64-full-seed31", "ppm_16-sample1000-seed777"],
 )
 def test_golden_histograms(fixture, sample, seed, golden, request, tmp_path):
     """Pins the random streams: any change to seeding, range splitting or
-    draw order shows up here."""
+    draw order shows up here. Both values are also what `_reference_sequence`
+    gives, `teleport_bit` over each range's own PCG64 stream."""
     ppm = request.getfixturevalue(fixture)
     config = make_config(ppm, tmp_path, protocol="standard", noise_a=0.8, seed=seed, sample=sample)
     report = teleport_image(config)
@@ -318,7 +319,10 @@ def test_report_json_round_trip(ppm_16, tmp_path):
     report = teleport_image(make_config(ppm_16, tmp_path, sample=64))
     loaded = TeleportReport.from_json((tmp_path / "report.json").read_text())
     assert loaded.to_dict() == report.to_dict()
-    assert loaded.schema == 2
+    assert loaded.schema == 3
+    assert loaded.rng == "pcg64"
+    assert json.loads((tmp_path / "report.json").read_text())["rng"] == "pcg64"
+    assert not reports_equivalent(loaded, dataclasses.replace(loaded, rng="mt19937"))
     assert "executor" not in loaded.config
     assert loaded.engine_version
 
@@ -358,11 +362,14 @@ def test_cli_teleport_image_and_report_diff(ppm_16, tmp_path, capsys):
     assert cli_main(base + ["--report", str(rep_a)]) == 0
     assert cli_main(base + ["--report", str(rep_b)]) == 0
     assert cli_main(["report-diff", str(rep_a), str(rep_b)]) == 0
-    assert json.loads(rep_a.read_text())["schema"] == 2
+    assert json.loads(rep_a.read_text())["schema"] == 3
 
     other = tmp_path / "c.json"
     assert cli_main(base[:-2] + ["--seed", "6", "--report", str(other)]) == 0
     assert cli_main(["report-diff", str(rep_a), str(other)]) == 1
+    older = tmp_path / "schema2.json"  # another schema is refused, not compared
+    older.write_text(json.dumps({**json.loads(rep_a.read_text()), "schema": 2}))
+    assert cli_main(["report-diff", str(rep_a), str(older)]) == 2
     capsys.readouterr()
 
 
