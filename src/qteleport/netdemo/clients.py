@@ -8,9 +8,12 @@ disambiguation payload bits per teleported qubit. The fabric never sees
 classical traffic; the audit counts CLASSICAL payloads alone, which is
 exactly where the two protocols differ.
 
-Each party sends the fabric one BATCH per bit. Alice's batch keeps the
-command order of `protocols.teleport_bit`, and Bob's follows it, so a fabric
-seeded like an in-process run reproduces its bits draw for draw.
+The clients hold the circuits and the fabric holds none: it runs the ops
+they send, including the pair CNOT that Alice applies herself in the
+simplified protocol. Each party sends the fabric one BATCH per bit. Alice's
+batch keeps the command order of `protocols.teleport_bit`, and Bob's
+follows it, so a fabric seeded like an in-process run reproduces its bits
+draw for draw.
 
 Transcripts hold `TranscriptEntry` records, which keep each message as its
 encoded JSON body, plus plain-dict `event` entries for aborts.
@@ -143,7 +146,9 @@ class ClientResult:
 
 
 def _alice_ops(protocol: str, bit: int) -> list[dict]:
-    """Alice's fabric commands for one bit, in `teleport_bit` order."""
+    """Alice's fabric commands for one bit, in `teleport_bit` order: allocate
+    the register, CNOT(0->1), H(0), then measure (standard) or reset
+    (simplified) qubits 0 and 1."""
     payload = {
         "type": "ALLOC_QUBIT",
         "alpha_re": 1.0 - bit,
@@ -152,22 +157,18 @@ def _alice_ops(protocol: str, bit: int) -> list[dict]:
         "beta_im": 0.0,
     }
     if protocol == "standard":
-        # op 0 is the payload, op 1 the pair
-        return [
-            payload,
-            {"type": "ALLOC_EPR"},
-            {"type": "APPLY", "gate": "CNOT", "qubits": ["$0.q", "$1.q_alice"]},
-            {"type": "APPLY", "gate": "H", "qubits": ["$0.q"]},
-            {"type": "MEASURE", "qubit": "$0.q"},
-            {"type": "MEASURE", "qubit": "$1.q_alice"},
-        ]
-    # op 0 is the pair; the fabric embeds the payload, op 1, into it
-    return [
-        {"type": "ALLOC_EPR"},
-        payload,
-        {"type": "APPLY", "gate": "H", "qubits": ["$0.q_alice"]},
-        {"type": "RESET", "qubit": "$0.q_alice"},
-        {"type": "RESET", "qubit": "$0.q_bob"},
+        # register [payload, pair]: qubit 1 is Alice's pair half
+        alloc = [payload, {"type": "ALLOC_EPR"}]
+        q0, q1, collapse = "$0.q", "$1.q_alice", "MEASURE"
+    else:
+        # register [pair, payload]: qubits 0 and 1 are both Alice's pair halves
+        alloc = [{"type": "ALLOC_EPR"}, payload]
+        q0, q1, collapse = "$0.q_alice", "$0.q_bob", "RESET"
+    return alloc + [
+        {"type": "APPLY", "gate": "CNOT", "qubits": [q0, q1]},
+        {"type": "APPLY", "gate": "H", "qubits": [q0]},
+        {"type": collapse, "qubit": q0},
+        {"type": collapse, "qubit": q1},
     ]
 
 

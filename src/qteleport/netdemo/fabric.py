@@ -1,22 +1,24 @@
 """Entanglement-fabric broker: owns each session's joint statevector and
 enforces locality (a client may only drive qubits it owns).
 
-Sessions keep at most one in-flight 3-qubit register: a measured or reset
-qubit collapses to a basis state, is recorded, and its axis is dropped, so
-arbitrarily many payload qubits stream through one session.
+The fabric holds no circuit. It allocates pairs and payload qubits, gives
+each the owner its session's protocol names in `OWNERS`, and runs the
+gates, measurements and resets those owners send; the per-bit circuits
+live in the clients.
 
-For simplified-protocol sessions the pair-internal CNOT is not local to
-either party, so the fabric applies it itself while embedding the payload
-(entanglement distribution with embedding); ownership is assigned only
-afterwards, which keeps the locality audit meaningful.
+A session holds at most one bit's 3-qubit register: a measured or reset
+qubit collapses to a basis state and its axis is dropped, so arbitrarily
+many payload qubits stream through one session. A retired qubit keeps its
+owner, so another party touching it is still a locality violation.
 
-Per-qubit commands arrive one per request or as the ops of a BATCH, which
-runs them in order under the session lock and stops at the first error.
-In a batch op, a `qubit` or `qubits` value `"$k.field"` stands for `field`
-of the reply to op k of the same batch.
+Per-qubit commands run only as the ops of a BATCH, in order under the
+session lock, stopping at the first error. In a batch op, a `qubit` or
+`qubits` value `"$k.field"` stands for `field` of the reply to op k of the
+same batch.
 """
 from __future__ import annotations
 
+import math
 import os
 import random
 import re
@@ -39,6 +41,15 @@ from ..seeding import derive_seed
 from .framing import recv_msg, send_msg
 
 ENV_SEED = "QTELEPORT_SEED"
+MAX_LIVE_QUBITS = 3  # one bit's register
+
+# Owners of what a session allocates: the pair halves (q_alice, q_bob), then
+# the payload. In the simplified protocol Alice holds both pair halves and
+# blocks them by reset; the payload is Bob's delivery qubit.
+OWNERS = {
+    "standard": (("alice", "bob"), "alice"),
+    "simplified": (("alice", "alice"), "bob"),
+}
 
 
 class FabricError(Exception):
@@ -49,33 +60,33 @@ class Session:
     """One protocol session: joint state, ownership ledger, seeded rng."""
 
     def __init__(self, session_id: int, protocol: str, noise_a: float | None, seed: int):
-        if protocol not in ("standard", "simplified"):
+        if type(protocol) is not str or protocol not in OWNERS:
             raise FabricError(f"unknown protocol {protocol!r}")
-        if noise_a is not None and not 0.0 < noise_a <= 1.0:
-            raise FabricError(f"noise amplitude {noise_a} outside (0, 1]")
+        if noise_a is not None and (
+            type(noise_a) not in (int, float) or not 0.0 < noise_a <= 1.0
+        ):
+            raise FabricError(f"noise amplitude {noise_a!r} is not a number in (0, 1]")
         self.session_id = session_id
-        self.protocol = protocol
-        self.noise_a = noise_a
+        self.pair_owners, self.payload_owner = OWNERS[protocol]
+        # States are values, so every ALLOC_EPR can tensor in this one pair.
+        self.pair = balanced_epr() if noise_a is None else noisy_epr(NoisyEprParams.from_a(noise_a))
         self.rng = random.Random(seed)
         self.state: StateVector | None = None
         self.handles: list[int] = []  # live handles in axis order
-        self.owner: dict[int, str] = {}
-        self.retired: dict[int, int] = {}
-        self.pending_pair: tuple[int, int] | None = None
+        self.owner: dict[int, str] = {}  # retired handles keep their entry
         self._next_handle = 0
         self.lock = threading.Lock()
 
     # -- register plumbing -------------------------------------------------
 
-    def _new_handle(self) -> int:
-        h = self._next_handle
-        self._next_handle += 1
-        return h
-
-    def _extend(self, piece: StateVector, count: int) -> list[int]:
+    def _extend(self, piece: StateVector, owners) -> list[int]:
+        if len(self.handles) + len(owners) > MAX_LIVE_QUBITS:
+            raise FabricError(f"a session holds at most {MAX_LIVE_QUBITS} live qubits")
         self.state = piece if self.state is None else tensor(self.state, piece)
-        new = [self._new_handle() for _ in range(count)]
+        new = list(range(self._next_handle, self._next_handle + len(owners)))
+        self._next_handle += len(owners)
         self.handles.extend(new)
+        self.owner.update(zip(new, owners))
         return new
 
     def _axis(self, handle: int) -> int:
@@ -83,18 +94,6 @@ class Session:
             return self.handles.index(handle)
         except ValueError:
             raise FabricError(f"unknown or retired qubit {handle}") from None
-
-    def _retire(self, handle: int, value: int) -> None:
-        axis = self._axis(handle)
-        assert self.state is not None
-        n = self.state.n
-        if n == 1:
-            self.state = None
-        else:
-            t = self.state.amps.reshape([2] * n)
-            self.state = StateVector(np.take(t, value, axis=axis).reshape(-1), copy=True)
-        self.handles.remove(handle)
-        self.retired[handle] = value  # the owner entry stays: re-reads are local too
 
     def _check_owner(self, role: str, handles) -> None:
         for h in handles:
@@ -105,42 +104,18 @@ class Session:
 
     # -- commands ----------------------------------------------------------
 
-    def epr_state(self) -> StateVector:
-        if self.noise_a is None:
-            return balanced_epr()
-        return noisy_epr(NoisyEprParams.from_a(self.noise_a))
-
-    def alloc_epr(self, role: str) -> dict:
-        q0, q1 = self._extend(self.epr_state(), 2)
-        if self.protocol == "simplified":
-            # Both halves end up on Alice's side; she blocks them by reset.
-            self.owner[q0] = "alice"
-            self.owner[q1] = "alice"
-            self.pending_pair = (q0, q1)
-        else:
-            self.owner[q0] = "alice"
-            self.owner[q1] = "bob"
+    def alloc_epr(self) -> dict:
+        q0, q1 = self._extend(self.pair, self.pair_owners)
         return {"type": "EPR", "q_alice": q0, "q_bob": q1}
 
-    def alloc_qubit(self, role: str, alpha: complex, beta: complex) -> dict:
-        if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9:  # NaN fails too
+    def alloc_qubit(self, alpha: complex, beta: complex) -> dict:
+        norm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)  # never overflows
+        if not abs(norm * norm - 1.0) <= 1e-9:  # NaN fails too
             raise FabricError("payload amplitudes are not normalized")
-        (q,) = self._extend(StateVector([alpha, beta]), 1)
-        if self.protocol == "simplified":
-            if self.pending_pair is None:
-                raise FabricError("no pair awaiting embedding")
-            p0, p1 = self.pending_pair
-            assert self.state is not None
-            self.state = apply_cnot(self.state, self._axis(p0), self._axis(p1))
-            self.pending_pair = None
-            self.owner[q] = "bob"  # delivery slot
-        else:
-            self.owner[q] = role
+        (q,) = self._extend(StateVector([alpha, beta]), [self.payload_owner])
         return {"type": "QUBIT", "q": q}
 
     def apply_gate(self, role: str, gate: str, qubits) -> dict:
-        if self.state is None:
-            raise FabricError("no live qubits")
         self._check_owner(role, qubits)
         if gate == "CNOT":
             if len(qubits) != 2 or qubits[0] == qubits[1]:
@@ -154,40 +129,26 @@ class Session:
             raise FabricError(f"unknown gate {gate!r}")
         return {"type": "OK"}
 
-    def measure(self, role: str, handle: int) -> dict:
+    def measure(self, role: str, handle: int) -> int:
+        """Measure a qubit and drop its axis; a reset is the same draw, since
+        the flip to |0> would only touch the axis that is dropped."""
         self._check_owner(role, [handle])
-        if handle in self.retired:
-            # Re-reading a collapsed qubit is deterministic.
-            return {"type": "RESULT", "bit": self.retired[handle]}
-        assert self.state is not None
-        bit, self.state = measure_qubit(self.state, self._axis(handle), self.rng)
-        self._retire(handle, bit)
-        return {"type": "RESULT", "bit": bit}
-
-    def reset(self, role: str, handle: int) -> dict:
-        self._check_owner(role, [handle])
-        if handle in self.retired:
-            raise FabricError(f"qubit {handle} already retired")
-        assert self.state is not None
-        bit, self.state = measure_qubit(self.state, self._axis(handle), self.rng)
-        # measure-then-flip; the retired record is |0> either way
-        self._retire(handle, bit)
-        self.retired[handle] = 0
-        return {"type": "OK"}
-
-    def read_rho(self, handle: int) -> dict:
-        if handle in self.retired:
-            bit = self.retired[handle]
-            rho = np.zeros((2, 2), dtype=complex)
-            rho[bit, bit] = 1.0
+        axis = self._axis(handle)
+        bit, collapsed = measure_qubit(self.state, axis, self.rng)
+        if collapsed.n == 1:
+            self.state = None
         else:
-            assert self.state is not None
-            rho = reduced_density(self.state, self._axis(handle)).mat
+            t = collapsed.amps.reshape([2] * collapsed.n)
+            self.state = StateVector(np.take(t, bit, axis=axis).reshape(-1), copy=True)
+        self.handles.remove(handle)
+        return bit
+
+    def read_rho(self, role: str, handle: int) -> dict:
+        self._check_owner(role, [handle])
+        rho = reduced_density(self.state, self._axis(handle)).mat
         flat = [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]
         return {"type": "RHO", "rho": flat}
 
-
-SESSION_COMMANDS = ("ALLOC_EPR", "ALLOC_QUBIT", "APPLY", "MEASURE", "RESET", "READ_RHO")
 
 # "$k.field": `field` of the reply to op k of the same batch.
 _REFERENCE = re.compile(r"\$(\d+)\.(\w+)")
@@ -230,7 +191,10 @@ def _amplitude(msg: dict, name: str) -> complex:
     parts = (msg.get(f"{name}_re", 0.0), msg.get(f"{name}_im", 0.0))
     if any(type(x) not in (int, float) for x in parts):
         raise FabricError(f"{name} amplitude is not numeric")
-    return complex(*parts)
+    try:
+        return complex(*parts)
+    except OverflowError:  # JSON integers have no size limit
+        raise FabricError(f"{name} amplitude is out of range") from None
 
 
 def _run_batch(session: Session, role: str, ops) -> dict:
@@ -250,24 +214,25 @@ def _run_batch(session: Session, role: str, ops) -> dict:
 
 
 def _run(session: Session, role: str, msg: dict) -> dict:
-    """Dispatch one per-qubit command; the caller holds `session.lock`."""
+    """Dispatch one batch op; the caller holds `session.lock`."""
     mtype = msg.get("type")
     if mtype == "ALLOC_EPR":
-        return session.alloc_epr(role)
+        return session.alloc_epr()
     if mtype == "ALLOC_QUBIT":
-        return session.alloc_qubit(role, _amplitude(msg, "alpha"), _amplitude(msg, "beta"))
+        return session.alloc_qubit(_amplitude(msg, "alpha"), _amplitude(msg, "beta"))
     if mtype == "APPLY":
         qubits = msg.get("qubits", [])
         if not isinstance(qubits, list):
             raise FabricError("APPLY qubits must be a list")
         return session.apply_gate(role, msg.get("gate"), [_as_handle(q) for q in qubits])
     if mtype == "MEASURE":
-        return session.measure(role, _as_handle(msg.get("qubit")))
+        return {"type": "RESULT", "bit": session.measure(role, _as_handle(msg.get("qubit")))}
     if mtype == "RESET":
-        return session.reset(role, _as_handle(msg.get("qubit")))
+        session.measure(role, _as_handle(msg.get("qubit")))
+        return {"type": "OK"}
     if mtype == "READ_RHO":
-        return session.read_rho(_as_handle(msg.get("qubit")))
-    raise FabricError(f"unknown message type {mtype!r}")
+        return session.read_rho(role, _as_handle(msg.get("qubit")))
+    raise FabricError(f"unknown op type {mtype!r}")
 
 
 class Fabric:
@@ -285,14 +250,15 @@ class Fabric:
     def new_session(self, protocol: str, noise_a: float | None) -> Session:
         with self._lock:
             sid = self._next_session
-            self._next_session += 1
-        session = Session(sid, protocol, noise_a, derive_seed(self.master_seed, "session", sid))
-        with self._lock:
+            session = Session(sid, protocol, noise_a, derive_seed(self.master_seed, "session", sid))
             self.sessions[sid] = session
+            self._next_session += 1  # only once the session is valid
         return session
 
     def _session(self, msg: dict) -> Session:
         sid = msg.get("session")
+        if type(sid) is not int:
+            raise FabricError(f"session {sid!r} is not an integer")
         with self._lock:
             session = self.sessions.get(sid)
         if session is None:
@@ -320,11 +286,7 @@ class Fabric:
                 return {"type": "SESSION", "session": session.session_id}
             if mtype == "BATCH":
                 return _run_batch(self._session(msg), role, msg.get("ops"))
-            if mtype not in SESSION_COMMANDS:
-                raise FabricError(f"unknown message type {mtype!r}")
-            session = self._session(msg)
-            with session.lock:
-                return _run(session, role, msg)
+            raise FabricError(f"unknown message type {mtype!r}")
         except FabricError as exc:
             return {"type": "ERROR", "error": str(exc)}
         except Exception as exc:  # keep the connection alive on bad input

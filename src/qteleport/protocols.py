@@ -166,6 +166,37 @@ def standard_correction(bob, b1: int, b2: int, qubit: int = -1):
     return out
 
 
+def _standard_circuit(psi, epr, rng, forced_outcome=None):
+    """The standard circuit on [payload, pair] through Bob's correction.
+    Returns its five snapshots and (b1, b2); the two measurements draw two
+    variates unless `forced_outcome` picks the branch."""
+    psi0 = tensor(psi, epr)
+    psi1 = apply_cnot(psi0, 0, 1)
+    psi2 = apply_1q(psi1, GATE_H, 0)
+    if forced_outcome is not None:
+        b1, b2 = forced_outcome
+        post = _project_outcome(psi2, 0, b2)
+        post = _project_outcome(post, 1, b1)
+    else:
+        if rng is None:
+            raise ValueError("either rng or forced_outcome is required")
+        m0, post = measure_qubit(psi2, 0, rng)
+        m1, post = measure_qubit(post, 1, rng)
+        b1, b2 = m1, m0
+    corrected = standard_correction(post, b1, b2, qubit=2)
+    return (psi0, psi1, psi2, post, corrected), (b1, b2)
+
+
+def _simplified_circuit(psi, epr, rng):
+    """The simplified circuit on [pair, payload]. Returns the snapshots
+    (psi0, psi1, post-H, post-reset); the two resets draw two variates."""
+    psi0 = tensor(epr, psi)
+    psi1 = apply_cnot(psi0, 0, 1)
+    post_h = apply_1q(psi1, GATE_H, 0)
+    post_reset = reset_qubit(reset_qubit(post_h, 0, rng), 1, rng)
+    return psi0, psi1, post_h, post_reset
+
+
 def teleport_standard(
     psi: PureQubit,
     epr: StateVector,
@@ -179,48 +210,23 @@ def teleport_standard(
     all four corrections.
     """
     _require_pair(epr)
-    psi0 = tensor(psi.as_state(), epr)
-    psi1 = apply_cnot(psi0, 0, 1)
-    psi2 = apply_1q(psi1, GATE_H, 0)
-
-    if forced_outcome is not None:
-        b1, b2 = forced_outcome
-        post = _project_outcome(psi2, 0, b2)
-        post = _project_outcome(post, 1, b1)
-    else:
-        if rng is None:
-            raise ValueError("either rng or forced_outcome is required")
-        m0, post = measure_qubit(psi2, 0, rng)
-        m1, post = measure_qubit(post, 1, rng)
-        b1, b2 = m1, m0
-
-    bob_pre = reduced_density(post, 2)
-    corrected = standard_correction(post, b1, b2, qubit=2)
+    states, (b1, b2) = _standard_circuit(psi.as_state(), epr, rng, forced_outcome)
+    post, corrected = states[3:]
     bob_final = reduced_density(corrected, 2)
     return TeleportOutcome(
         b1=b1,
         b2=b2,
-        bob_pre_correction=bob_pre,
+        bob_pre_correction=reduced_density(post, 2),
         bob_final=bob_final,
         fidelity_vs_input=fidelity(psi, bob_final),
-        trace=[
-            ("psi0", psi0),
-            ("psi1", psi1),
-            ("psi2", psi2),
-            ("post-measure", post),
-            ("post-correction", corrected),
-        ],
+        trace=list(zip(("psi0", "psi1", "psi2", "post-measure", "post-correction"), states)),
     )
 
 
 def teleport_simplified(psi: PureQubit, epr: StateVector, rng: RandomSource) -> SimplifiedTrace:
     """Run the simplified protocol once. Sends zero classical bits."""
     _require_pair(epr)
-    psi0 = tensor(epr, psi.as_state())
-    psi1 = apply_cnot(psi0, 0, 1)
-    post_h = apply_1q(psi1, GATE_H, 0)
-    post_reset = reset_qubit(post_h, 0, rng)
-    post_reset = reset_qubit(post_reset, 1, rng)
+    psi0, psi1, post_h, post_reset = _simplified_circuit(psi.as_state(), epr, rng)
 
     a, b = complex(epr.amps[0]), complex(epr.amps[3])
     fmt = lambda z: f"{z.real:.6g}" if abs(z.imag) < 1e-15 else f"({z.real:.6g}{z.imag:+.6g}j)"
@@ -280,34 +286,24 @@ class TeleportedBit:
 def teleport_bit(bit: int, protocol: str, epr: StateVector, rng: RandomSource) -> TeleportedBit:
     """Teleport a single classical bit embedded as the basis state |bit>.
 
-    This is the canonical per-bit circuit the networked demo replays
+    Runs the same circuit as `teleport_standard` / `teleport_simplified`,
+    without their density matrices and fidelities, then reads out Bob's
+    qubit. This is the per-bit reference the networked demo replays
     command-for-command: it consumes exactly three rng draws (two Alice
-    measurements plus Bob's readout for `standard`; two resets plus the
-    readout for `simplified`).
+    measurements, or two resets, plus the readout).
     """
     if bit not in (0, 1):
         raise ValueError(f"bit value {bit!r} is not 0 or 1")
     _require_pair(epr)
-    psi = PureQubit(1.0 - bit, bit)
+    psi = StateVector([1.0 - bit, bit])
     if protocol == "standard":
-        state = tensor(psi.as_state(), epr)
-        state = apply_cnot(state, 0, 1)
-        state = apply_1q(state, GATE_H, 0)
-        m0, state = measure_qubit(state, 0, rng)
-        m1, state = measure_qubit(state, 1, rng)
-        b1, b2 = m1, m0
-        state = standard_correction(state, b1, b2, qubit=2)
-        received, _ = measure_qubit(state, 2, rng)
-        return TeleportedBit(bit, received, (b1, b2))
-    if protocol == "simplified":
-        state = tensor(epr, psi.as_state())
-        state = apply_cnot(state, 0, 1)
-        state = apply_1q(state, GATE_H, 0)
-        state = reset_qubit(state, 0, rng)
-        state = reset_qubit(state, 1, rng)
-        received, _ = measure_qubit(state, 2, rng)
-        return TeleportedBit(bit, received, None)
-    raise ValueError(f"unknown protocol {protocol!r}")
+        states, disambiguation = _standard_circuit(psi, epr, rng)
+    elif protocol == "simplified":
+        states, disambiguation = _simplified_circuit(psi, epr, rng), None
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    received, _ = measure_qubit(states[-1], 2, rng)
+    return TeleportedBit(bit, received, disambiguation)
 
 
 def export_trace(snapshots: list[tuple[str, StateVector]]) -> str:

@@ -115,51 +115,64 @@ def test_recv_msg_across_socket_chunks():
 # ----------------------------------------------------------------- fabric
 
 
+def _hello(fabric, role):
+    conn = {}
+    assert fabric.handle({"type": "HELLO", "role": role}, conn) == {"type": "WELCOME"}
+    return conn
+
+
+def _alice_session(fabric, protocol):
+    conn = _hello(fabric, "alice")
+    return conn, fabric.handle({"type": "NEW_SESSION", "protocol": protocol}, conn)["session"]
+
+
+def _op(fabric, conn, sid, op):
+    """Send one per-qubit command as a one-op BATCH; returns its reply."""
+    reply = fabric.handle({"type": "BATCH", "session": sid, "ops": [op]}, conn)
+    assert reply["type"] == "BATCH" and len(reply["replies"]) == 1, reply
+    return reply["replies"][0]
+
+
+def _is_locality_error(reply):
+    return reply["type"] == "ERROR" and "locality" in reply["error"]
+
+
 def test_session_bootstrap_creates_balanced_pair():
     fabric = Fabric(master_seed=1)
-    conn = {}
-    assert fabric.handle({"type": "HELLO", "role": "alice"}, conn) == {"type": "WELCOME"}
-    sid = fabric.handle({"type": "NEW_SESSION", "protocol": "standard"}, conn)["session"]
-    reply = fabric.handle({"type": "ALLOC_EPR", "session": sid}, conn)
+    alice, sid = _alice_session(fabric, "standard")
+    reply = _op(fabric, alice, sid, {"type": "ALLOC_EPR"})
     assert reply["type"] == "EPR"
-    state = fabric.sessions[sid].state
-    assert np.allclose(state.amps, balanced_epr().amps, atol=1e-15)
+    session = fabric.sessions[sid]
+    assert np.allclose(session.state.amps, balanced_epr().amps, atol=1e-15)
+    assert session.owner == {reply["q_alice"]: "alice", reply["q_bob"]: "bob"}
 
 
 def test_locality_violation_is_rejected_but_connection_survives():
     fabric = Fabric(master_seed=1)
-    conn = {}
-    fabric.handle({"type": "HELLO", "role": "alice"}, conn)
-    sid = fabric.handle({"type": "NEW_SESSION", "protocol": "standard"}, conn)["session"]
-    pair = fabric.handle({"type": "ALLOC_EPR", "session": sid}, conn)
+    alice, sid = _alice_session(fabric, "standard")
+    pair = _op(fabric, alice, sid, {"type": "ALLOC_EPR"})
     # q_bob belongs to bob: alice touching it, or a CNOT spanning owners, must fail
-    err = fabric.handle(
-        {"type": "APPLY", "session": sid, "gate": "CNOT",
-         "qubits": [pair["q_alice"], pair["q_bob"]]},
-        conn,
-    )
-    assert err["type"] == "ERROR" and "locality" in err["error"]
-    err = fabric.handle({"type": "MEASURE", "session": sid, "qubit": pair["q_bob"]}, conn)
-    assert err["type"] == "ERROR" and "locality" in err["error"]
+    cnot = {"type": "APPLY", "gate": "CNOT", "qubits": [pair["q_alice"], pair["q_bob"]]}
+    assert _is_locality_error(_op(fabric, alice, sid, cnot))
+    assert _is_locality_error(_op(fabric, alice, sid, {"type": "MEASURE", "qubit": pair["q_bob"]}))
     # connection still serves valid requests
-    ok = fabric.handle({"type": "MEASURE", "session": sid, "qubit": pair["q_alice"]}, conn)
+    ok = _op(fabric, alice, sid, {"type": "MEASURE", "qubit": pair["q_alice"]})
     assert ok["type"] == "RESULT"
 
 
-def test_retired_qubit_is_read_only_by_its_owner():
+def test_retired_qubit_keeps_its_owner_and_is_not_reread():
     fabric = Fabric(master_seed=1)
-    alice, bob = {}, {}
-    fabric.handle({"type": "HELLO", "role": "alice"}, alice)
-    fabric.handle({"type": "HELLO", "role": "bob"}, bob)
-    sid = fabric.handle({"type": "NEW_SESSION", "protocol": "standard"}, alice)["session"]
-    q_psi = fabric.handle(
-        {"type": "ALLOC_QUBIT", "session": sid, "alpha_re": 0.0, "beta_re": 1.0}, alice
-    )["q"]
-    m0 = fabric.handle({"type": "MEASURE", "session": sid, "qubit": q_psi}, alice)
-    # Bob must learn Alice's outcomes from CLASSICAL, never from the fabric.
-    err = fabric.handle({"type": "MEASURE", "session": sid, "qubit": q_psi}, bob)
-    assert err["type"] == "ERROR" and "locality" in err["error"]
-    assert fabric.handle({"type": "MEASURE", "session": sid, "qubit": q_psi}, alice) == m0
+    alice, sid = _alice_session(fabric, "standard")
+    bob = _hello(fabric, "bob")
+    q_psi = _op(fabric, alice, sid, {"type": "ALLOC_QUBIT", "alpha_re": 0.0, "beta_re": 1.0})["q"]
+    assert _op(fabric, alice, sid, {"type": "MEASURE", "qubit": q_psi}) == {"type": "RESULT", "bit": 1}
+    for op_type in ("MEASURE", "RESET", "READ_RHO", "APPLY"):
+        op = {"type": op_type, "qubit": q_psi, "gate": "X", "qubits": [q_psi]}
+        # Bob must learn Alice's outcomes from CLASSICAL, never from the fabric.
+        assert _is_locality_error(_op(fabric, bob, sid, op))
+        # The fabric keeps no outcomes, so the owner cannot re-read one either.
+        err = _op(fabric, alice, sid, op)
+        assert err["type"] == "ERROR" and "retired" in err["error"]
 
 
 @pytest.mark.parametrize(
@@ -171,25 +184,121 @@ def test_retired_qubit_is_read_only_by_its_owner():
         {"type": "APPLY", "gate": "H", "qubits": 0},
         {"type": "ALLOC_QUBIT", "alpha_re": "1", "beta_re": 0.0},
         {"type": "ALLOC_QUBIT", "alpha_re": float("nan"), "beta_re": 0.0},
+        {"type": "ALLOC_QUBIT", "alpha_re": 10**400, "beta_re": 0.0},
+        {"type": "ALLOC_QUBIT", "alpha_re": 1e200, "beta_re": 0.0},
     ],
 )
 def test_malformed_commands_are_rejected_not_internal_errors(request_):
     fabric = Fabric(master_seed=1)
     alice, sid = _alice_session(fabric, "standard")
-    fabric.handle({"type": "ALLOC_EPR", "session": sid}, alice)
-    err = fabric.handle(dict(request_, session=sid), alice)
+    _op(fabric, alice, sid, {"type": "ALLOC_EPR"})
+    err = _op(fabric, alice, sid, request_)
+    assert err["type"] == "ERROR" and err["error"].startswith("op 0: ")
+
+
+def test_session_holds_one_bits_register():
+    fabric = Fabric(master_seed=1)
+    alice, sid = _alice_session(fabric, "standard")
+    pair = _op(fabric, alice, sid, {"type": "ALLOC_EPR"})
+    _op(fabric, alice, sid, {"type": "ALLOC_QUBIT", "alpha_re": 1.0})
+    err = _op(fabric, alice, sid, {"type": "ALLOC_EPR"})
+    assert err["type"] == "ERROR" and "live qubits" in err["error"]
+    assert len(fabric.sessions[sid].handles) == 3
+    _op(fabric, alice, sid, {"type": "MEASURE", "qubit": pair["q_alice"]})
+    assert _op(fabric, alice, sid, {"type": "ALLOC_QUBIT", "alpha_re": 1.0})["type"] == "QUBIT"
+
+
+@pytest.mark.parametrize("op_type", ["ALLOC_EPR", "ALLOC_QUBIT", "APPLY", "MEASURE", "RESET", "READ_RHO"])
+def test_bare_per_qubit_command_is_an_error(op_type):
+    fabric = Fabric(master_seed=1)
+    alice, sid = _alice_session(fabric, "standard")
+    _op(fabric, alice, sid, {"type": "ALLOC_EPR"})
+    command = {"type": op_type, "session": sid, "alpha_re": 1.0, "gate": "H", "qubits": [0], "qubit": 0}
+    err = fabric.handle(command, alice)
+    assert err["type"] == "ERROR" and "unknown message type" in err["error"]
+    assert fabric.sessions[sid].handles == [0, 1]  # nothing ran
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        {"type": "NEW_SESSION", "protocol": "standard", "noise_A": "x"},
+        {"type": "NEW_SESSION", "protocol": "standard", "noise_A": [1]},
+        {"type": "NEW_SESSION", "protocol": "standard", "noise_A": True},
+        {"type": "NEW_SESSION", "protocol": ["standard"]},
+        {"type": "BATCH", "session": [0], "ops": [{"type": "ALLOC_EPR"}]},
+        {"type": "BATCH", "session": {}, "ops": [{"type": "ALLOC_EPR"}]},
+        {"type": "BATCH", "session": False, "ops": [{"type": "ALLOC_EPR"}]},
+    ],
+)
+def test_malformed_frames_are_rejected_not_internal_errors(frame):
+    fabric = Fabric(master_seed=1)
+    alice, sid = _alice_session(fabric, "standard")
+    err = fabric.handle(frame, alice)
     assert err["type"] == "ERROR" and not err["error"].startswith("internal")
+    assert list(fabric.sessions) == [sid] and fabric.sessions[sid].handles == []
 
 
-def _alice_session(fabric, protocol):
-    conn = {}
-    fabric.handle({"type": "HELLO", "role": "alice"}, conn)
-    return conn, fabric.handle({"type": "NEW_SESSION", "protocol": protocol}, conn)["session"]
+# Any JSON value a frame could carry.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _field(*valid):
+    return st.one_of(st.sampled_from(valid), _JSON)
+
+
+_HANDLE = st.one_of(st.integers(-1, 4), st.sampled_from(["$0.q", "$0.q_alice", "$1.q_bob"]), _JSON)
+_OPS = st.lists(
+    st.one_of(
+        st.sampled_from(_alice_ops("standard", 1) + _alice_ops("simplified", 0)),
+        st.fixed_dictionaries(
+            {"type": _field("ALLOC_EPR", "ALLOC_QUBIT", "APPLY", "MEASURE", "RESET", "READ_RHO")},
+            optional={
+                "qubit": _HANDLE,
+                "qubits": st.one_of(st.lists(_HANDLE, max_size=3), _JSON),
+                "gate": _field("H", "X", "Z", "CNOT"),
+                "alpha_re": _field(0.0, 1.0),
+                "beta_im": _field(0.0, 1.0),
+            },
+        ),
+        _JSON,
+    ),
+    max_size=8,
+)
+_FRAMES = st.fixed_dictionaries(
+    {"type": _field("HELLO", "NEW_SESSION", "BATCH", "BYE")},
+    optional={
+        "role": _field("alice", "bob"),
+        "protocol": _field("standard", "simplified"),
+        "noise_A": _field(None, 0.8, 1),
+        "session": st.one_of(st.integers(-1, 2), _JSON),
+        "ops": st.one_of(_OPS, _JSON),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=st.lists(st.tuples(st.sampled_from(["alice", "new"]), _FRAMES), min_size=1, max_size=8))
+def test_fuzzed_frames_never_get_internal_errors(frames):
+    fabric = Fabric(master_seed=5)
+    alice, _ = _alice_session(fabric, "standard")  # a connection already in a session
+    conns = {"alice": alice, "new": {}}
+    for conn, frame in frames:
+        reply = fabric.handle(frame, conns[conn])
+        encode_body(reply)  # every reply frames
+        if reply["type"] == "ERROR":
+            assert not reply["error"].startswith("internal"), (frame, reply)
 
 
 @pytest.mark.parametrize("protocol", ["standard", "simplified"])
 @pytest.mark.parametrize("bit", [0, 1])
 def test_batch_replies_match_single_commands(protocol, bit):
+    """One BATCH of a bit's ops equals the same ops sent as one-op batches,
+    with their `$k.field` references resolved by hand."""
     batched, single = Fabric(master_seed=9), Fabric(master_seed=9)
     conn_b, sid_b = _alice_session(batched, protocol)
     conn_s, sid_s = _alice_session(single, protocol)
@@ -203,14 +312,17 @@ def test_batch_replies_match_single_commands(protocol, bit):
         return expected[int(k)][name]
 
     for op in ops:
-        op = dict(op, session=sid_s)
+        op = dict(op)
         if "qubit" in op:
             op["qubit"] = resolve(op["qubit"])
         if "qubits" in op:
             op["qubits"] = [resolve(q) for q in op["qubits"]]
-        expected.append(single.handle(op, conn_s))
+        expected.append(_op(single, conn_s, sid_s, op))
     assert reply["replies"] == expected
-    assert batched.sessions[sid_b].retired == single.sessions[sid_s].retired
+    assert "ERROR" not in [r["type"] for r in expected]
+    b, s = batched.sessions[sid_b], single.sessions[sid_s]
+    assert b.handles == s.handles and np.array_equal(b.state.amps, s.state.amps)
+    assert b.rng.getstate() == s.rng.getstate()
 
 
 def test_batch_stops_at_first_error_and_checks_locality_per_op():
@@ -224,7 +336,7 @@ def test_batch_stops_at_first_error_and_checks_locality_per_op():
     reply = fabric.handle({"type": "BATCH", "session": sid, "ops": ops}, alice)
     assert [r["type"] for r in reply["replies"]] == ["EPR", "ERROR"]
     assert "locality" in reply["replies"][1]["error"]
-    assert fabric.sessions[sid].retired == {}
+    assert fabric.sessions[sid].handles == [0, 1]  # op 2 never ran
     audit = transcript_audit([{"link": "fabric", "dir": "recv", "msg": reply}])
     assert audit["violations"] == 1
 
@@ -289,48 +401,59 @@ def test_unknown_message_type_yields_error_reply():
 
 def test_read_rho_after_completed_standard_teleport():
     fabric = Fabric(master_seed=7)
-    alice, bob = {}, {}
-    fabric.handle({"type": "HELLO", "role": "alice"}, alice)
-    fabric.handle({"type": "HELLO", "role": "bob"}, bob)
-    sid = fabric.handle({"type": "NEW_SESSION", "protocol": "standard"}, alice)["session"]
+    alice, sid = _alice_session(fabric, "standard")
+    bob = _hello(fabric, "bob")
     psi = PureQubit(0.6, 0.8)
-    q_psi = fabric.handle(
-        {"type": "ALLOC_QUBIT", "session": sid, "alpha_re": 0.6, "alpha_im": 0.0,
-         "beta_re": 0.8, "beta_im": 0.0},
-        alice,
-    )["q"]
-    pair = fabric.handle({"type": "ALLOC_EPR", "session": sid}, alice)
-    fabric.handle({"type": "APPLY", "session": sid, "gate": "CNOT",
-                   "qubits": [q_psi, pair["q_alice"]]}, alice)
-    fabric.handle({"type": "APPLY", "session": sid, "gate": "H", "qubits": [q_psi]}, alice)
-    m0 = fabric.handle({"type": "MEASURE", "session": sid, "qubit": q_psi}, alice)["bit"]
-    m1 = fabric.handle({"type": "MEASURE", "session": sid, "qubit": pair["q_alice"]}, alice)["bit"]
-    if m0:
-        fabric.handle({"type": "APPLY", "session": sid, "gate": "Z",
-                       "qubits": [pair["q_bob"]]}, bob)
-    if m1:
-        fabric.handle({"type": "APPLY", "session": sid, "gate": "X",
-                       "qubits": [pair["q_bob"]]}, bob)
-    rho = fabric.handle({"type": "READ_RHO", "session": sid, "qubit": pair["q_bob"]}, bob)["rho"]
+    payload = {"type": "ALLOC_QUBIT", "alpha_re": 0.6, "alpha_im": 0.0, "beta_re": 0.8, "beta_im": 0.0}
+    ops = [payload] + _alice_ops("standard", 0)[1:]
+    replies = fabric.handle({"type": "BATCH", "session": sid, "ops": ops}, alice)["replies"]
+    q_bob, m0, m1 = replies[1]["q_bob"], replies[4]["bit"], replies[5]["bit"]
+    ops = [{"type": "APPLY", "gate": g, "qubits": [q_bob]} for g, m in (("Z", m0), ("X", m1)) if m]
+    ops.append({"type": "READ_RHO", "qubit": q_bob})
+    rho = fabric.handle({"type": "BATCH", "session": sid, "ops": ops}, bob)["replies"][-1]["rho"]
     got = np.array([complex(re, im) for re, im in rho]).reshape(2, 2)
     assert np.max(np.abs(got - psi.projector())) < 1e-9
 
 
-def test_simplified_embedding_assigns_pair_to_alice_payload_to_bob():
+def test_read_rho_is_owner_checked_like_measure():
+    fabric = Fabric(master_seed=7)
+    alice, sid = _alice_session(fabric, "standard")
+    bob = _hello(fabric, "bob")
+    transcript = []
+
+    def bob_reads(q):
+        msg = {"type": "BATCH", "session": sid, "ops": [{"type": "READ_RHO", "qubit": q}]}
+        reply = fabric.handle(msg, bob)
+        transcript.append({"link": "fabric", "dir": "recv", "msg": reply})
+        return reply["replies"][0]
+
+    q_psi = _op(fabric, alice, sid, {"type": "ALLOC_QUBIT", "alpha_re": 0.6, "beta_re": 0.8})["q"]
+    pair = _op(fabric, alice, sid, {"type": "ALLOC_EPR"})
+    alices = (q_psi, pair["q_alice"])
+    assert all(_is_locality_error(bob_reads(q)) for q in alices)  # live
+    for q in alices:
+        _op(fabric, alice, sid, {"type": "MEASURE", "qubit": q})
+    assert all(_is_locality_error(bob_reads(q)) for q in alices)  # retired
+    assert transcript_audit(transcript)["violations"] == 4
+    assert bob_reads(pair["q_bob"])["type"] == "RHO"
+    assert transcript_audit(transcript)["violations"] == 4
+
+
+def test_simplified_ownership_gives_pair_to_alice_payload_to_bob():
     fabric = Fabric(master_seed=3)
-    conn = {}
-    fabric.handle({"type": "HELLO", "role": "alice"}, conn)
-    sid = fabric.handle({"type": "NEW_SESSION", "protocol": "simplified"}, conn)["session"]
-    pair = fabric.handle({"type": "ALLOC_EPR", "session": sid}, conn)
-    q = fabric.handle(
-        {"type": "ALLOC_QUBIT", "session": sid, "alpha_re": 1.0, "alpha_im": 0.0,
-         "beta_re": 0.0, "beta_im": 0.0},
-        conn,
-    )["q"]
+    alice, sid = _alice_session(fabric, "simplified")
+    bob = _hello(fabric, "bob")
+    pair = _op(fabric, alice, sid, {"type": "ALLOC_EPR"})
+    q = _op(fabric, alice, sid, {"type": "ALLOC_QUBIT", "alpha_re": 0.0, "beta_re": 1.0})["q"]
     session = fabric.sessions[sid]
-    assert session.owner[pair["q_alice"]] == "alice"
-    assert session.owner[pair["q_bob"]] == "alice"
-    assert session.owner[q] == "bob"
+    assert session.owner == {pair["q_alice"]: "alice", pair["q_bob"]: "alice", q: "bob"}
+    # Allocation applies no gate: the pair CNOT is Alice's own op.
+    assert np.array_equal(session.state.amps, np.kron(balanced_epr().amps, [0, 1]))
+    halves = [pair["q_alice"], pair["q_bob"]]
+    ops = [{"type": "APPLY", "gate": "X", "qubits": [h]} for h in halves]
+    ops.append({"type": "APPLY", "gate": "CNOT", "qubits": halves})
+    assert all(_is_locality_error(_op(fabric, bob, sid, op)) for op in ops)
+    assert _op(fabric, alice, sid, ops[-1]) == {"type": "OK"}
 
 
 def test_hello_required_before_commands():
@@ -402,6 +525,9 @@ def test_wire_matches_in_process_bit_for_bit(fabric_server, protocol, noise_a):
     ]
     assert sent_classical == [r.disambiguation for r in reference if r.disambiguation is not None]
     assert len(sent_classical) == (len(bits) if protocol == "standard" else 0)
+    # Bob's bits alone cannot pin a simplified session's draws: the fabric
+    # must have drawn exactly what the reference drew, in the same order.
+    assert fabric_server.fabric.sessions[alice.session].rng.getstate() == session_rng.getstate()
 
 
 def test_sampled_fixture_bits_over_loopback_match_pipeline(fabric_server, image_16, ppm_16, tmp_path):

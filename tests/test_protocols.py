@@ -332,6 +332,29 @@ def test_teleport_bit_round_trips_for_both_protocols():
                     assert res.disambiguation is None
 
 
+class _CountingRandom:
+    """A RandomSource that counts its draws."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self._rng.random()
+
+
+@pytest.mark.parametrize("protocol", ["standard", "simplified"])
+@pytest.mark.parametrize("noise_a", [None, 0.8])
+def test_teleport_bit_takes_exactly_three_draws_per_bit(protocol, noise_a):
+    pair = balanced_epr() if noise_a is None else noisy_epr(NoisyEprParams.from_a(noise_a))
+    rng = _CountingRandom(12)
+    bits = [0, 1, 1, 0, 1, 0, 0, 1]
+    for i, bit in enumerate(bits):
+        teleport_bit(bit, protocol, pair, rng)
+        assert rng.calls == 3 * (i + 1)
+
+
 def test_teleport_bit_rejects_unknown_protocol():
     with pytest.raises(ValueError):
         teleport_bit(0, "warp", balanced_epr(), random.Random(0))
