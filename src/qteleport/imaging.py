@@ -197,9 +197,10 @@ def image_from_bits(bits: np.ndarray, width: int, height: int) -> RasterImage:
     expected = width * height * BITS_PER_PIXEL
     if bits.size != expected:
         raise ValueError(f"expected {expected} bits, got {bits.size}")
-    planes = bits.reshape(3, 8, height, width).astype(np.uint16)
-    shifts = np.arange(7, -1, -1, dtype=np.uint16)
-    channels = (planes << shifts[None, :, None, None]).sum(axis=1).astype(np.uint8)
+    planes = np.asarray(bits, dtype=np.uint8).reshape(3, 8, height, width)  # planes 7..0
+    channels = planes[:, 0] << 7
+    for pos in range(1, 8):
+        channels |= planes[:, pos] << (7 - pos)
     return RasterImage(channels.transpose(1, 2, 0).copy())
 
 

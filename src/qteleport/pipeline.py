@@ -10,7 +10,8 @@ costs its classical bits) but is excluded from scoring.
 
 Bits stay in numpy arrays from decomposition to scoring. The sequence is cut
 into ranges of RANGE_PAIRS pairs, each with its own PCG64 stream seeded from
-(master seed, range start), so output is independent of thread count.
+(master seed, range start), so output is independent of thread count. The
+kernel makes one pass per chunk of _CHUNK_RANGES ranges, over one buffer.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from .seeding import derive_seed
 
 PROTOCOLS = ("standard", "simplified")
 RANGE_PAIRS = 2048  # worker range size, in pairs
+_CHUNK_RANGES = 8  # ranges per kernel pass: a 768 KiB draw buffer
 OUTCOME_KEYS = ("00", "01", "10", "11")
 PLANE_COUNT = 8
 
@@ -226,7 +228,7 @@ def coincidence_count(
     matches = sent_bits == received_bits
     if indices is None:
         # One row per plane: no per-bit plane keys on the full-image path.
-        plane_hit = matches.reshape(BITS_PER_PIXEL, per_plane_bits).sum(axis=1)
+        plane_hit = np.count_nonzero(matches.reshape(BITS_PER_PIXEL, per_plane_bits), axis=1)
         plane_total = np.full(BITS_PER_PIXEL, per_plane_bits)
     else:
         if indices.size != sent_bits.size:
@@ -241,7 +243,7 @@ def coincidence_count(
             tot = int(plane_total[row])
             per_plane[plane_key(channel, plane)] = int(plane_hit[row]) / tot if tot else None
     total = int(sent_bits.size)
-    matched = int(matches.sum())
+    matched = int(np.count_nonzero(matches))
     return CoincidenceReport(
         total_bits=total,
         matched=matched,
@@ -252,61 +254,58 @@ def coincidence_count(
     )
 
 
-def _run_range(bits: np.ndarray, protocol: str, a: float, b: float, seed: int):
-    """Teleport one range of basis-state payloads; returns (received bits,
-    4-bin outcome histogram, classical bits sent).
-
-    Takes three uniform draws per bit from a PCG64 `Generator` seeded with
-    `seed`, in the order `teleport_bit` consumes them: the two measurements
-    of Alice's wires (for the simplified protocol, the two resets), then
-    Bob's readout. Row i of the draw array holds bit i's three draws, which
-    are the values three scalar `Generator.random()` calls return. The Born
-    probabilities are those of a basis-state payload, so the outcomes equal
-    `teleport_bit`'s draw for draw.
-    """
-    u = np.random.Generator(np.random.PCG64(seed)).random((bits.size, 3))
-    received = (u[:, 2] < bits).astype(np.uint8)
-    if protocol != "standard":
-        return received, np.zeros(4, dtype=np.int64), 0
-    a2, b2 = a * a, b * b
-    norm = a2 + b2
-    m0 = (u[:, 0] < norm / 2.0).astype(np.int64)
-    m1 = (u[:, 1] < np.where(bits, a2, b2) / norm).astype(np.int64)
-    hist = np.bincount((m1 << 1) | m0, minlength=4)
-    return received, hist, 2 * bits.size
-
-
 def _teleport_bit_sequence(
-    bits: np.ndarray, config: PipelineConfig
+    bits: np.ndarray, config: PipelineConfig, stages: dict[str, float] | None = None
 ) -> tuple[np.ndarray, dict[str, int], int, int]:
     """Teleport a flat bit sequence pairwise; returns (received, histogram,
-    classical_bits, pairs). Each range writes its own slice of one
-    preallocated output array."""
+    classical_bits, pairs). Each chunk writes its own slice of one
+    preallocated output array; `stages`, when given, gets the draw and kernel
+    seconds summed over chunks as "teleport_draw" and "teleport_kernel"."""
     a, b = config.epr_amplitudes()
+    norm = a * a + b * b
+    p_m0, p_m1 = norm / 2.0, (b * b / norm, a * a / norm)  # p_m1[bit]: P(m1 = 1)
     n = bits.size
     if n % 2:
         bits = np.append(bits, np.uint8(0))  # the ancilla; never scored
-    pairs = bits.size // 2
     received = np.empty(bits.size, dtype=np.uint8)
+    range_bits = 2 * RANGE_PAIRS
 
-    def job(start_pair: int):
-        lo, hi = 2 * start_pair, 2 * (start_pair + RANGE_PAIRS)
-        seed = derive_seed(config.seed, "teleport", start_pair)
-        got, hist, classical = _run_range(bits[lo:hi], config.protocol, a, b, seed)
-        received[lo:hi] = got
-        return hist, classical
+    def run_chunk(lo: int):
+        """Teleport the _CHUNK_RANGES ranges from bit `lo` on. Each range fills
+        its rows of one (bits, 3) buffer from its own PCG64 stream: row i holds
+        the three draws bit i's `teleport_bit` call takes (Alice's two
+        measurements or resets, then Bob's readout), so with a basis-state
+        payload's Born probabilities the outcomes equal it draw for draw."""
+        t_start = time.perf_counter()
+        chunk = bits[lo : lo + range_bits * _CHUNK_RANGES]
+        u = np.empty((chunk.size, 3))
+        for start in range(0, chunk.size, range_bits):
+            seed = derive_seed(config.seed, "teleport", (lo + start) // 2)
+            np.random.Generator(np.random.PCG64(seed)).random(out=u[start : start + range_bits])
+        t_drawn = time.perf_counter()
+        np.less(u[:, 2], chunk, out=received[lo : lo + chunk.size].view(bool))
+        hist = np.zeros(4, dtype=np.int64)
+        if config.protocol == "standard":
+            m0 = u[:, 0] < p_m0
+            c0, c1 = (u[:, 1] < p for p in p_m1)
+            m1 = c0 ^ ((c0 ^ c1) & chunk.view(bool))  # c1 where the payload bit is 1
+            n0, n1, both = np.count_nonzero(m0), np.count_nonzero(m1), np.count_nonzero(m0 & m1)
+            hist[:] = (chunk.size - n0 - n1 + both, n0 - both, n1 - both, both)
+        return hist, t_drawn - t_start, time.perf_counter() - t_drawn
 
-    starts = range(0, pairs, RANGE_PAIRS)
+    starts = range(0, bits.size, range_bits * _CHUNK_RANGES)
     if config.threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(job, starts))
+            results = list(pool.map(run_chunk, starts))
     else:
-        results = [job(s) for s in starts]
+        results = [run_chunk(s) for s in starts]
 
-    hist = sum(h for h, _ in results)
+    hist, draw_s, kernel_s = map(sum, zip(*results))
+    if stages is not None:
+        stages.update(teleport_draw=draw_s, teleport_kernel=kernel_s)
     histogram = {key: int(count) for key, count in zip(OUTCOME_KEYS, hist)}
-    classical = sum(c for _, c in results)
-    return received[:n], histogram, classical, pairs
+    classical = 2 * bits.size if config.protocol == "standard" else 0
+    return received[:n], histogram, classical, bits.size // 2
 
 
 def teleport_image(config: PipelineConfig) -> TeleportReport:
@@ -331,7 +330,7 @@ def teleport_image(config: PipelineConfig) -> TeleportReport:
     stages["decompose"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    received_bits, histogram, classical, pairs = _teleport_bit_sequence(sent_bits, config)
+    received_bits, histogram, classical, pairs = _teleport_bit_sequence(sent_bits, config, stages)
     stages["teleport"] = time.perf_counter() - t
 
     t = time.perf_counter()

@@ -198,6 +198,35 @@ def test_image_from_bits_inverts_bit_array(image_16):
     assert np.array_equal(rebuilt.pixels, image_16.pixels)
 
 
+def _every_byte_image(width: int, height: int) -> RasterImage:
+    """Each channel holds every value 0-255 at least once, in its own order."""
+    assert width * height >= 256
+    rng = np.random.default_rng(2025)
+    values = np.arange(width * height) % 256
+    channels = [rng.permutation(values) for _ in range(3)]
+    return RasterImage(np.stack(channels, axis=-1).astype(np.uint8).reshape(height, width, 3))
+
+
+def test_image_from_bits_inverts_bit_array_non_square_every_byte():
+    import tracemalloc
+
+    img = _every_byte_image(width=48, height=20)
+    for channel in range(3):
+        assert np.unique(img.pixels[:, :, channel]).size == 256
+    bits = bit_array(img)
+    tracemalloc.start()
+    try:
+        rebuilt = image_from_bits(bits, img.width, img.height)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rebuilt.pixels.shape == (20, 48, 3)
+    assert np.array_equal(rebuilt.pixels, img.pixels)
+    # The uint8 channel array, one shifted plane and the pixel copy take
+    # 9 bytes a pixel; the bits alone take 24.
+    assert peak < bits.size, (peak, bits.size)
+
+
 def test_raster_image_validates_shape_and_dtype():
     with pytest.raises(ValueError):
         RasterImage(np.zeros((4, 4), dtype=np.uint8))

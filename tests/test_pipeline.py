@@ -1,6 +1,9 @@
 """Pipeline tests: sampling, scoring, full-image runs, determinism, CLI."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -205,6 +208,28 @@ def test_determinism_same_seed_same_report(ppm_16, tmp_path):
     assert out_a == out_b
 
 
+def test_teleport_sub_stages_are_reported(ppm_64, tmp_path):
+    stages = teleport_image(make_config(ppm_64, tmp_path, threads=1)).stage_seconds
+    assert {"teleport_draw", "teleport_kernel"} <= stages.keys()
+    assert stages["teleport_draw"] + stages["teleport_kernel"] <= stages["teleport"]
+
+
+def test_importing_the_pipeline_leaves_numpy_random_unloaded():
+    """Importing `numpy.random` adds about 10 ms to the ~200 ms import of the
+    pipeline. The pipeline looks `np.random` up only when it draws, so the
+    benchmark's set-up time never pays for it."""
+    import qteleport
+
+    src = os.path.dirname(os.path.dirname(qteleport.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, qteleport.pipeline; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_worker_count_does_not_change_results(ppm_64, tmp_path):
     rep_1 = teleport_image(make_config(ppm_64, tmp_path, threads=1, seed=31))
     rep_4 = teleport_image(make_config(ppm_64, tmp_path, threads=4, seed=31))
@@ -229,16 +254,28 @@ def _reference_sequence(bits, protocol, noise_a, seed):
     return received[: len(bits)], hist, classical
 
 
-@pytest.mark.parametrize("protocol", ["standard", "simplified"])
-@pytest.mark.parametrize("noise_a", [None, 0.8])
-@pytest.mark.parametrize("source", ["ppm_64", "odd_sample"])
+@pytest.mark.parametrize(
+    "source, noise_a, protocol",
+    [
+        (source, noise_a, protocol)
+        for source in ("ppm_64", "odd_sample")
+        for noise_a in (None, 0.8)
+        for protocol in ("standard", "simplified")
+    ]
+    + [("chunk_tail", 0.8, "standard")],
+)
 def test_pipeline_matches_teleport_bit_draw_for_draw(
     source, protocol, noise_a, image_16, image_64, tmp_path
 ):
     if source == "ppm_64":
         bits = bit_array(image_64)  # 24 ranges
-    else:
+    elif source == "odd_sample":
         bits = bit_array(image_16)[sample_bits(image_16, 4097, seed=3)]  # 2 ranges
+    else:
+        # One full chunk, then a chunk of one full range and a one-pair
+        # range whose second bit is the padded ancilla.
+        chunk_bits = pipeline._CHUNK_RANGES * 2 * RANGE_PAIRS
+        bits = bit_array(image_64)[sample_bits(image_64, chunk_bits + 4097, seed=3)]
     config = make_config("unused.ppm", tmp_path, protocol=protocol, noise_a=noise_a, seed=11)
     received, hist, classical, pairs = _teleport_bit_sequence(bits, config)
     want_received, want_hist, want_classical = _reference_sequence(
