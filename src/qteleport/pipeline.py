@@ -196,12 +196,28 @@ def plane_key(channel: int, plane: int) -> str:
 
 def sample_bits(img: RasterImage, n: int, seed: int) -> np.ndarray:
     """Uniform sample of n bits without replacement: their positions in the
-    canonical enumeration, as an int64 array in draw order."""
+    canonical enumeration, as an ascending int64 array.
+
+    Positions are marked in one byte per bit, never listed over the whole
+    population. Each round draws as many positions as are still missing,
+    with replacement, and recounts the marks, so it cannot overshoot; since
+    the stopping rule looks only at counts, every n-subset is equally
+    likely. Above half the population the complement is marked instead,
+    which keeps the rounds near log2(n)."""
     total = img.total_bits()
     if not 0 < n <= total:
         raise ValueError(f"sample size {n} outside 1..{total}")
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "sample")))
-    return rng.choice(total, n, replace=False).astype(np.int64, copy=False)
+    complement = n > total // 2
+    want = total - n if complement else n
+    marks = np.zeros(total, dtype=bool)
+    have = 0
+    while have < want:
+        marks[rng.integers(0, total, want - have)] = True
+        have = int(np.count_nonzero(marks))
+    if complement:
+        np.logical_not(marks, out=marks)
+    return np.flatnonzero(marks).astype(np.int64, copy=False)
 
 
 def coincidence_count(
@@ -216,26 +232,30 @@ def coincidence_count(
     """Exact match counting with a per-plane breakdown.
 
     Without `indices` the bits are the whole image in canonical order;
-    otherwise `indices[i]` is the canonical position of bit i. Planes that
-    received no bits report None and stay out of the aggregate denominator
-    (which only ever counts scored bits).
+    otherwise `indices[i]` is the canonical position of bit i, strictly
+    increasing. Either way each plane is one contiguous segment of the bits.
+    Planes that received no bits report None and stay out of the aggregate
+    denominator (which only ever counts scored bits).
     """
     if sent_bits.size != received_bits.size:
         raise ValueError(
             f"length mismatch: {sent_bits.size} sent vs {received_bits.size} received"
         )
-    per_plane_bits = width * height
-    matches = sent_bits == received_bits
+    edges = np.arange(BITS_PER_PIXEL + 1) * (width * height)  # plane boundaries
     if indices is None:
-        # One row per plane: no per-bit plane keys on the full-image path.
-        plane_hit = np.count_nonzero(matches.reshape(BITS_PER_PIXEL, per_plane_bits), axis=1)
-        plane_total = np.full(BITS_PER_PIXEL, per_plane_bits)
+        if sent_bits.size != edges[-1]:
+            raise ValueError(f"{sent_bits.size} bits for a {width}x{height} image")
     else:
         if indices.size != sent_bits.size:
             raise ValueError(f"{indices.size} indices for {sent_bits.size} bits")
-        plane_of = indices // per_plane_bits
-        plane_total = np.bincount(plane_of, minlength=BITS_PER_PIXEL)
-        plane_hit = np.bincount(plane_of[matches], minlength=BITS_PER_PIXEL)
+        if indices.size and (indices[0] < 0 or indices[-1] >= edges[-1]):
+            raise ValueError(f"indices outside 0..{edges[-1] - 1}")
+        if np.any(indices[1:] <= indices[:-1]):
+            raise ValueError("indices must be strictly increasing")
+        edges = np.searchsorted(indices, edges)
+    matches = sent_bits == received_bits
+    plane_total = np.diff(edges)
+    plane_hit = [np.count_nonzero(matches[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
     per_plane: dict[str, float | None] = {}
     for channel in range(3):
         for pos, plane in enumerate(range(7, -1, -1)):
@@ -243,7 +263,7 @@ def coincidence_count(
             tot = int(plane_total[row])
             per_plane[plane_key(channel, plane)] = int(plane_hit[row]) / tot if tot else None
     total = int(sent_bits.size)
-    matched = int(np.count_nonzero(matches))
+    matched = int(sum(plane_hit))
     return CoincidenceReport(
         total_bits=total,
         matched=matched,

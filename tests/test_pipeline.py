@@ -10,7 +10,7 @@ import pytest
 
 from qteleport import pipeline
 from qteleport.cli import main as cli_main
-from qteleport.imaging import address_of, bit_array, load_raster
+from qteleport.imaging import RasterImage, bit_array, load_raster
 from qteleport.pipeline import (
     OUTCOME_KEYS,
     RANGE_PAIRS,
@@ -41,28 +41,90 @@ def make_config(ppm, tmp_path, **kw):
 # ---------------------------------------------------------------- sampling
 
 
+class _Population:
+    """Stands in for an image where only the bit count matters."""
+
+    def __init__(self, total):
+        self.total = total
+
+    def total_bits(self):
+        return self.total
+
+
 def test_sample_bits_determinism(image_16):
     a = sample_bits(image_16, 100, seed=5)
     b = sample_bits(image_16, 100, seed=5)
     assert a.dtype == np.int64
     assert np.array_equal(a, b)
-    assert np.unique(a).size == 100
+    assert np.all(np.diff(a) > 0)  # ascending, hence distinct
+    assert 0 <= a[0] and a[-1] < image_16.total_bits()
+    assert not np.array_equal(a, sample_bits(image_16, 100, seed=6))
 
 
 def test_sample_bits_full_population_is_permutation(image_16):
+    """The whole population comes back as the identity: canonical order."""
     total = image_16.total_bits()
     picks = sample_bits(image_16, total, seed=5)
-    assert np.array_equal(np.sort(picks), np.arange(total))
+    assert picks.dtype == np.int64
+    assert np.array_equal(picks, np.arange(total))
+
+
+@pytest.mark.parametrize("size", ["one", "half", "half+1"])
+def test_sample_bits_edge_sizes(image_16, size):
+    """Up to total // 2 the sample itself is marked, above it the complement."""
+    total = image_16.total_bits()
+    n = {"one": 1, "half": total // 2, "half+1": total // 2 + 1}[size]
+    picks = sample_bits(image_16, n, seed=12)
+    assert picks.size == n and picks.dtype == np.int64
+    assert np.all(np.diff(picks) > 0)
+    assert 0 <= picks[0] and picks[-1] < total
+
+
+# The p = 0.001 upper quantile of chi-squared with 14 degrees of freedom.
+_CHI2_14DF_P001 = 36.12
+
+
+@pytest.mark.parametrize("n", [2, 4])  # 4 of 6 takes the complement path
+def test_sample_bits_is_uniform_over_subsets(n):
+    """Every n-subset of 6 positions is equally likely: all 15 appear over
+    15 000 seeds, and their counts pass a chi-squared test at p = 0.001."""
+    population = _Population(6)
+    counts = {}
+    for seed in range(15_000):
+        key = tuple(sample_bits(population, n, seed).tolist())
+        counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == 15
+    expected = 15_000 / 15
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 < _CHI2_14DF_P001, counts
 
 
 def test_sample_bits_full_scale_geometry():
-    from qteleport.imaging import RasterImage
-
-    big = RasterImage(np.zeros((1080, 1920, 3), dtype=np.uint8))
+    height, width = 1080, 1920
+    big = RasterImage(np.zeros((height, width, 3), dtype=np.uint8))
     picks = sample_bits(big, 100, seed=9)
     assert picks.shape == (100,)
-    addrs = [address_of(int(i), 1920, 1080) for i in picks]
-    assert all(0 <= a.row < 1080 and 0 <= a.col < 1920 for a in addrs)
+    # bit_array's layout is (channel, plane 7..0, row, col).
+    plane, pixel = np.divmod(picks, width * height)
+    row, col = np.divmod(pixel, width)
+    assert np.all(plane < 3 * 8)
+    assert np.all((0 <= row) & (row < height) & (0 <= col) & (col < width))
+
+
+def test_sample_bits_keeps_no_population_sized_index_array():
+    """A 1M-bit sample of a full-HD image (49.8M bits) stays within a
+    one-byte-per-bit budget: no int64 array over the whole population."""
+    import tracemalloc
+
+    big = RasterImage(np.zeros((1080, 1920, 3), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        picks = sample_bits(big, 1_000_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert picks.size == 1_000_000
+    assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
 def test_sample_bits_rejects_oversized_request(image_16):
@@ -105,6 +167,20 @@ def test_coincidence_rejects_length_mismatch():
         coincidence_count(sent, np.zeros(0, dtype=np.uint8), W, H, indices=np.arange(1))
     with pytest.raises(ValueError):
         coincidence_count(sent, sent, W, H, indices=np.arange(2))
+    with pytest.raises(ValueError):
+        coincidence_count(sent, sent, W, H)  # a whole image is 2400 bits
+
+
+@pytest.mark.parametrize(
+    "indices", [[3, 1], [2, 2], [0, 5, 4], [-1, 0], [0, W * H * 24]],
+    ids=["descending", "repeated", "descending-tail", "negative", "past-the-end"],
+)
+def test_coincidence_rejects_bad_indices(indices):
+    """Positions must be strictly increasing and inside the image."""
+    indices = np.array(indices, dtype=np.int64)
+    sent = np.zeros(indices.size, dtype=np.uint8)
+    with pytest.raises(ValueError):
+        coincidence_count(sent, sent, W, H, indices=indices)
 
 
 def _hand_count(stream, received_bits, hist, classical_bits):
@@ -291,19 +367,25 @@ def test_pipeline_matches_teleport_bit_draw_for_draw(
     "fixture, sample, seed, golden",
     [
         ("ppm_64", None, 31, {"00": 24558, "01": 24551, "10": 24734, "11": 24461}),
-        ("ppm_16", 1000, 777, {"00": 252, "01": 258, "10": 238, "11": 252}),
+        ("ppm_16", 1000, 777, {"00": 251, "01": 265, "10": 239, "11": 245}),
     ],
     ids=["ppm_64-full-seed31", "ppm_16-sample1000-seed777"],
 )
 def test_golden_histograms(fixture, sample, seed, golden, request, tmp_path):
     """Pins the random streams: any change to seeding, range splitting or
     draw order shows up here. Both values are also what `_reference_sequence`
-    gives, `teleport_bit` over each range's own PCG64 stream."""
+    gives, `teleport_bit` over each range's own PCG64 stream; the sampled one
+    is checked against it here (the full one costs as much as the ppm_64
+    draw-for-draw cases)."""
     ppm = request.getfixturevalue(fixture)
     config = make_config(ppm, tmp_path, protocol="standard", noise_a=0.8, seed=seed, sample=sample)
     report = teleport_image(config)
     assert report.coincidence.per_outcome_histogram == golden
     assert report.coincidence.coincidence == 1.0
+    if sample is not None:
+        img = load_raster(str(ppm))
+        bits = bit_array(img)[sample_bits(img, sample, seed)]
+        assert _reference_sequence(bits, "standard", 0.8, seed)[1] == golden
 
 
 def test_odd_sample_pads_unscored_ancilla(ppm_16, tmp_path):
