@@ -185,11 +185,13 @@ def bit_stream(img: RasterImage) -> Iterator[tuple[BitAddress, int]]:
 
 def bit_array(img: RasterImage) -> np.ndarray:
     """Flat uint8 array of all bits in canonical order (vectorized)."""
-    pixels = img.pixels
-    # (channel, plane 7..0, row, col)
-    shifts = np.arange(7, -1, -1, dtype=np.uint8)
-    planes = (pixels.transpose(2, 0, 1)[:, None, :, :] >> shifts[None, :, None, None]) & 1
-    return planes.reshape(-1).astype(np.uint8)
+    channels = np.ascontiguousarray(img.pixels.transpose(2, 0, 1))
+    planes = np.empty((3, PLANES_PER_CHANNEL) + channels.shape[1:], dtype=np.uint8)
+    for pos in range(PLANES_PER_CHANNEL):  # (channel, plane 7..0, row, col)
+        out = planes[:, pos]
+        np.right_shift(channels, 7 - pos, out=out)
+        np.bitwise_and(out, 1, out=out)
+    return planes.reshape(-1)
 
 
 def image_from_bits(bits: np.ndarray, width: int, height: int) -> RasterImage:

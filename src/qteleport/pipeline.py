@@ -8,17 +8,17 @@ qubit of a pair rides its own fresh 3-qubit register and is read out as a
 bit. An odd tail is padded with a zero ancilla that is teleported (and
 costs its classical bits) but is excluded from scoring.
 
-Bits stay in numpy arrays from decomposition to scoring. The sequence is cut
-into ranges of RANGE_PAIRS pairs, each with its own PCG64 stream seeded from
-(master seed, range start), so output is independent of thread count. The
-kernel makes one pass per chunk of _CHUNK_RANGES ranges, over one buffer.
+Every payload is a computational basis state, so Bob's corrected readout
+equals the sent bit in both protocols and nothing per bit is drawn. The one
+random observable is the standard protocol's 4-bin (m1, m0) histogram,
+drawn per run from the closed-form outcome table on one PCG64 stream. Bits
+stay in numpy arrays from decomposition to scoring.
 """
 from __future__ import annotations
 
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +44,6 @@ from .sdc import sdc_roundtrip
 from .seeding import derive_seed
 
 PROTOCOLS = ("standard", "simplified")
-RANGE_PAIRS = 2048  # worker range size, in pairs
-_CHUNK_RANGES = 8  # ranges per kernel pass: a 768 KiB draw buffer
 OUTCOME_KEYS = ("00", "01", "10", "11")
 PLANE_COUNT = 8
 
@@ -59,7 +57,7 @@ class PipelineConfig:
     noise_a: float | None = None
     seed: int = 0
     sample: int | None = None  # None teleports every bit
-    threads: int = 1
+    threads: int = 1  # accepted and echoed; has no effect
 
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -172,13 +170,13 @@ class TeleportReport:
 
 
 TIMING_KEYS = ("wall_time", "stage_seconds", "throughput_bits_per_sec")
-# Results are independent of worker count and of where artifacts land, so
-# those config entries stay out of the comparison too.
+# `threads` has no effect and artifact destinations do not change results,
+# so those config entries stay out of the comparison too.
 _INCIDENTAL_CONFIG_KEYS = ("threads", "report_path", "output_path")
 
 
 def reports_equivalent(a: TeleportReport, b: TeleportReport) -> bool:
-    """Same experiment, same results: ignores timing, worker count, and
+    """Same experiment, same results: ignores timing, `threads`, and
     artifact destinations."""
     da, db = a.to_dict(), b.to_dict()
     for k in TIMING_KEYS:
@@ -274,58 +272,46 @@ def coincidence_count(
     )
 
 
+def _outcome_table(a: float, b: float) -> np.ndarray:
+    """P((m1, m0) | bit) of the standard protocol on the pair a|00> + b|11>:
+    row `bit`, columns in OUTCOME_KEYS order. Given the bit, m0 and m1 are
+    independent: m0 ~ Bernoulli(norm/2), m1 ~ Bernoulli(b^2/norm or a^2/norm)."""
+    norm = a * a + b * b
+    p_m0 = norm / 2.0
+    p_m1 = np.array([[b * b], [a * a]]) / norm  # P(m1 = 1 | bit)
+    return np.hstack(
+        [(1 - p_m1) * (1 - p_m0), (1 - p_m1) * p_m0, p_m1 * (1 - p_m0), p_m1 * p_m0]
+    )
+
+
 def _teleport_bit_sequence(
     bits: np.ndarray, config: PipelineConfig, stages: dict[str, float] | None = None
 ) -> tuple[np.ndarray, dict[str, int], int, int]:
     """Teleport a flat bit sequence pairwise; returns (received, histogram,
-    classical_bits, pairs). Each chunk writes its own slice of one
-    preallocated output array; `stages`, when given, gets the draw and kernel
-    seconds summed over chunks as "teleport_draw" and "teleport_kernel"."""
-    a, b = config.epr_amplitudes()
-    norm = a * a + b * b
-    p_m0, p_m1 = norm / 2.0, (b * b / norm, a * a / norm)  # p_m1[bit]: P(m1 = 1)
-    n = bits.size
-    if n % 2:
-        bits = np.append(bits, np.uint8(0))  # the ancilla; never scored
-    received = np.empty(bits.size, dtype=np.uint8)
-    range_bits = 2 * RANGE_PAIRS
+    classical_bits, pairs). A basis-state payload arrives as sent, so the
+    received bits are a copy; the standard histogram is drawn per run as one
+    multinomial over the 0-bits, then one over the 1-bits. `stages`, when
+    given, gets the copy and count as "teleport_kernel" and the draws as
+    "teleport_draw" (0 for the simplified protocol, which draws nothing)."""
+    t = time.perf_counter()
+    received = bits.copy()
+    padded = bits.size + bits.size % 2  # the ancilla is a 0
+    n1 = int(np.count_nonzero(bits))
+    kernel_s = time.perf_counter() - t
 
-    def run_chunk(lo: int):
-        """Teleport the _CHUNK_RANGES ranges from bit `lo` on. Each range fills
-        its rows of one (bits, 3) buffer from its own PCG64 stream: row i holds
-        the three draws bit i's `teleport_bit` call takes (Alice's two
-        measurements or resets, then Bob's readout), so with a basis-state
-        payload's Born probabilities the outcomes equal it draw for draw."""
-        t_start = time.perf_counter()
-        chunk = bits[lo : lo + range_bits * _CHUNK_RANGES]
-        u = np.empty((chunk.size, 3))
-        for start in range(0, chunk.size, range_bits):
-            seed = derive_seed(config.seed, "teleport", (lo + start) // 2)
-            np.random.Generator(np.random.PCG64(seed)).random(out=u[start : start + range_bits])
-        t_drawn = time.perf_counter()
-        np.less(u[:, 2], chunk, out=received[lo : lo + chunk.size].view(bool))
-        hist = np.zeros(4, dtype=np.int64)
-        if config.protocol == "standard":
-            m0 = u[:, 0] < p_m0
-            c0, c1 = (u[:, 1] < p for p in p_m1)
-            m1 = c0 ^ ((c0 ^ c1) & chunk.view(bool))  # c1 where the payload bit is 1
-            n0, n1, both = np.count_nonzero(m0), np.count_nonzero(m1), np.count_nonzero(m0 & m1)
-            hist[:] = (chunk.size - n0 - n1 + both, n0 - both, n1 - both, both)
-        return hist, t_drawn - t_start, time.perf_counter() - t_drawn
+    hist, draw_s = np.zeros(len(OUTCOME_KEYS), dtype=np.int64), 0.0
+    if config.protocol == "standard":
+        t = time.perf_counter()
+        table = _outcome_table(*config.epr_amplitudes())
+        rng = np.random.Generator(np.random.PCG64(derive_seed(config.seed, "teleport")))
+        hist = rng.multinomial(padded - n1, table[0]) + rng.multinomial(n1, table[1])
+        draw_s = time.perf_counter() - t
 
-    starts = range(0, bits.size, range_bits * _CHUNK_RANGES)
-    if config.threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run_chunk, starts))
-    else:
-        results = [run_chunk(s) for s in starts]
-
-    hist, draw_s, kernel_s = map(sum, zip(*results))
     if stages is not None:
         stages.update(teleport_draw=draw_s, teleport_kernel=kernel_s)
     histogram = {key: int(count) for key, count in zip(OUTCOME_KEYS, hist)}
-    classical = 2 * bits.size if config.protocol == "standard" else 0
-    return received[:n], histogram, classical, bits.size // 2
+    classical = 2 * padded if config.protocol == "standard" else 0
+    return received, histogram, classical, padded // 2
 
 
 def teleport_image(config: PipelineConfig) -> TeleportReport:

@@ -227,6 +227,27 @@ def test_image_from_bits_inverts_bit_array_non_square_every_byte():
     assert peak < bits.size, (peak, bits.size)
 
 
+def test_bit_array_copies_the_pixels_once():
+    """One channel-major copy of the pixels (3 bytes a pixel) plus the 24
+    bytes a pixel of output: no reshape or dtype copy of the planes. The
+    image is large enough that tracemalloc's few KiB of bookkeeping stay
+    well inside the margin."""
+    import tracemalloc
+
+    img = _every_byte_image(width=160, height=120)
+    tracemalloc.start()
+    try:
+        bits = bit_array(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits.dtype == np.uint8 and bits.flags.c_contiguous
+    shifts = np.arange(7, -1, -1)[None, :, None, None]
+    want = (img.pixels.transpose(2, 0, 1)[:, None] >> shifts) & 1
+    assert np.array_equal(bits, want.reshape(-1))
+    assert peak < 1.25 * bits.size, (peak, bits.size)
+
+
 def test_raster_image_validates_shape_and_dtype():
     with pytest.raises(ValueError):
         RasterImage(np.zeros((4, 4), dtype=np.uint8))
