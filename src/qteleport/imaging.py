@@ -15,6 +15,8 @@ import numpy as np
 CHANNEL_NAMES = ("R", "G", "B")
 PLANES_PER_CHANNEL = 8
 BITS_PER_PIXEL = 24
+# The planes in canonical order, "R7" .. "B0": row k of `plane_ones`.
+PLANE_NAMES = tuple(f"{c}{p}" for c in CHANNEL_NAMES for p in range(7, -1, -1))
 
 
 @dataclass
@@ -204,6 +206,38 @@ def image_from_bits(bits: np.ndarray, width: int, height: int) -> RasterImage:
     for pos in range(1, 8):
         channels |= planes[:, pos] << (7 - pos)
     return RasterImage(channels.transpose(1, 2, 0).copy())
+
+
+def plane_ones(
+    pixels: np.ndarray, indices: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per plane, rows in PLANE_NAMES order: (1-bits, bits) over every bit
+    of the (h, w, 3) `pixels`, or over the canonical positions `indices`,
+    which must be strictly increasing and inside the image.
+
+    Each plane is one contiguous segment of the canonical enumeration, so
+    its positions are a slice of `indices` (edges from `np.searchsorted`)
+    and their pixel offsets are the positions less the plane's start. The
+    bits are read straight from the samples: nothing holds a byte per bit."""
+    if pixels.ndim != 3 or pixels.shape[2] != 3:
+        raise ValueError(f"expected (h, w, 3) pixels, got shape {pixels.shape}")
+    per_plane = pixels.shape[0] * pixels.shape[1]
+    edges = np.arange(BITS_PER_PIXEL + 1) * per_plane
+    if indices is not None:
+        if indices.size and (indices[0] < 0 or indices[-1] >= edges[-1]):
+            raise ValueError(f"indices outside 0..{edges[-1] - 1}")
+        if np.any(indices[1:] <= indices[:-1]):
+            raise ValueError("indices must be strictly increasing")
+        edges = np.searchsorted(indices, edges)
+    channels = np.ascontiguousarray(pixels.transpose(2, 0, 1)).reshape(3, per_plane)
+    ones = np.empty(BITS_PER_PIXEL, dtype=np.int64)
+    for row in range(BITS_PER_PIXEL):
+        channel, pos = divmod(row, PLANES_PER_CHANNEL)
+        samples = channels[channel]
+        if indices is not None:
+            samples = samples[indices[edges[row] : edges[row + 1]] - row * per_plane]
+        ones[row] = np.count_nonzero(samples & (0x80 >> pos))
+    return ones, np.diff(edges)
 
 
 def address_of(index: int, width: int, height: int) -> BitAddress:

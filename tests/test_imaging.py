@@ -15,6 +15,7 @@ from qteleport.imaging import (
     bit_stream,
     image_from_bits,
     load_raster,
+    plane_ones,
     slice_bitplanes,
     write_bitplane,
     write_raster,
@@ -246,6 +247,49 @@ def test_bit_array_copies_the_pixels_once():
     want = (img.pixels.transpose(2, 0, 1)[:, None] >> shifts) & 1
     assert np.array_equal(bits, want.reshape(-1))
     assert peak < 1.25 * bits.size, (peak, bits.size)
+
+
+@st.composite
+def _image_and_positions(draw):
+    """A random image, 1xN and Nx1 included, with strictly increasing
+    canonical positions that hold position 0 and the last position and
+    leave at least one plane without positions."""
+    n = draw(st.integers(1, 12))
+    w, h = draw(st.sampled_from([(n, 1), (1, n), (n, draw(st.integers(2, 12)))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    img = RasterImage(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
+    planes = rng.random(24) < 0.5
+    planes[[0, 23]] = True
+    planes[draw(st.integers(1, 22))] = False
+    marks = np.repeat(planes, w * h) & (rng.random(img.total_bits()) < draw(st.floats(0, 1)))
+    marks[[0, -1]] = True
+    return img, np.flatnonzero(marks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_image_and_positions())
+def test_plane_ones_matches_bit_array(case):
+    img, picks = case
+    bits = bit_array(img)
+    per_plane = img.width * img.height
+    ones, total = plane_ones(img.pixels)
+    assert ones.tolist() == bits.reshape(24, per_plane).sum(axis=1).tolist()
+    assert total.tolist() == [per_plane] * 24
+    ones, total = plane_ones(img.pixels, picks)
+    rows = picks // per_plane
+    assert ones.tolist() == np.bincount(rows, weights=bits[picks], minlength=24).tolist()
+    assert total.tolist() == np.bincount(rows, minlength=24).tolist()
+    assert 0 in total.tolist()
+
+
+@pytest.mark.parametrize(
+    "picks", [[-1, 3], [0, 2 * 3 * 24], [4, 4], [5, 2], [0, 7, 6]],
+    ids=["negative", "past-the-end", "repeated", "descending", "descending-tail"],
+)
+def test_plane_ones_rejects_bad_positions(picks):
+    img = RasterImage(np.zeros((3, 2, 3), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        plane_ones(img.pixels, np.array(picks, dtype=np.int64))
 
 
 def test_raster_image_validates_shape_and_dtype():

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from qteleport import pipeline
 from qteleport.cli import main as cli_main
 from qteleport.core import GATE_H, StateVector, apply_1q, apply_cnot, tensor
-from qteleport.imaging import RasterImage, bit_array, load_raster
+from qteleport.imaging import RasterImage, bit_array, image_from_bits, load_raster, write_raster
 from qteleport.pipeline import (
     OUTCOME_KEYS,
     PipelineConfig,
     TeleportReport,
-    _teleport_bit_sequence,
+    _teleport_bits,
     coincidence_count,
     reports_equivalent,
     run_partial_demos,
@@ -142,41 +142,52 @@ def test_sample_bits_rejects_oversized_request(image_16):
 
 # ----------------------------------------------------------------- scoring
 
-# A 100x1 image: canonical positions 0..99 are plane R7, row 0, column i.
+# A 100x1 image: canonical positions 0..99 are plane R7, row 0, column i,
+# which is bit 7 of the red sample of pixel i.
 W, H = 100, 1
 
 
+def _red_msb(bits):
+    """A 100x1 image whose plane R7 holds `bits`; every other bit is 0."""
+    px = np.zeros((H, W, 3), dtype=np.uint8)
+    px[0, :, 0] = np.asarray(bits, dtype=np.uint8) << 7
+    return px
+
+
 def test_coincidence_identical_streams():
-    sent = np.arange(100, dtype=np.uint8) % 2
-    rep = coincidence_count(sent, sent, W, H, indices=np.arange(100))
+    sent = _red_msb(np.arange(100) % 2)
+    rep = coincidence_count(sent, sent.copy(), indices=np.arange(100))
     assert rep.coincidence == 1.0 and rep.matched == 100
 
 
 def test_coincidence_single_flip():
-    sent = np.zeros(100, dtype=np.uint8)
+    sent = _red_msb(np.zeros(100))
     received = sent.copy()
-    received[7] = 1
-    rep = coincidence_count(sent, received, W, H, indices=np.arange(100))
+    received[0, 7, 0] ^= 0x80
+    rep = coincidence_count(sent, received, indices=np.arange(100))
     assert rep.coincidence == pytest.approx(0.99)
     assert rep.per_plane["R7"] == pytest.approx(0.99)
 
 
 def test_coincidence_unsampled_planes_report_no_data():
-    sent = np.ones(10, dtype=np.uint8)
-    rep = coincidence_count(sent, sent, W, H, indices=np.arange(10))
+    sent = _red_msb(np.ones(100))
+    rep = coincidence_count(sent, sent, indices=np.arange(10))
     assert rep.per_plane["R7"] == 1.0
     assert rep.per_plane["G3"] is None
     assert rep.total_bits == 10
 
 
 def test_coincidence_rejects_length_mismatch():
-    sent = np.zeros(1, dtype=np.uint8)
+    """Sent and received must be (h, w, 3) pixel arrays of one shape."""
+    sent = _red_msb(np.zeros(100))
     with pytest.raises(ValueError):
-        coincidence_count(sent, np.zeros(0, dtype=np.uint8), W, H, indices=np.arange(1))
+        coincidence_count(sent, sent[:, :99], indices=np.arange(1))
     with pytest.raises(ValueError):
-        coincidence_count(sent, sent, W, H, indices=np.arange(2))
+        coincidence_count(sent, np.zeros((0, 0, 3), dtype=np.uint8))
     with pytest.raises(ValueError):
-        coincidence_count(sent, sent, W, H)  # a whole image is 2400 bits
+        coincidence_count(sent, sent[:, :99])  # a whole image of the other shape
+    with pytest.raises(ValueError):
+        coincidence_count(sent.reshape(W, 3), sent.reshape(W, 3))
 
 
 @pytest.mark.parametrize(
@@ -185,10 +196,9 @@ def test_coincidence_rejects_length_mismatch():
 )
 def test_coincidence_rejects_bad_indices(indices):
     """Positions must be strictly increasing and inside the image."""
-    indices = np.array(indices, dtype=np.int64)
-    sent = np.zeros(indices.size, dtype=np.uint8)
+    sent = _red_msb(np.zeros(100))
     with pytest.raises(ValueError):
-        coincidence_count(sent, sent, W, H, indices=indices)
+        coincidence_count(sent, sent, indices=np.array(indices, dtype=np.int64))
 
 
 def _hand_count(stream, received_bits, hist, classical_bits):
@@ -222,14 +232,14 @@ def test_array_scorer_matches_hand_count_over_bit_stream(image_16):
     received_bits = sent_bits.copy()
     flips = rng.choice(sent_bits.size, size=37, replace=False)
     received_bits[flips] ^= 1
+    received = image_from_bits(received_bits, image_16.width, image_16.height).pixels
     hist = {"00": 1, "01": 2, "10": 3, "11": 4}
-    w, h = image_16.width, image_16.height
 
-    full = coincidence_count(sent_bits, received_bits, w, h, None, hist, classical_bits=20)
+    full = coincidence_count(image_16.pixels, received, None, hist, classical_bits=20)
     assert full.to_dict() == _hand_count(stream, received_bits, hist, 20)
 
     picks = sample_bits(image_16, 500, seed=8)
-    sampled = coincidence_count(sent_bits[picks], received_bits[picks], w, h, picks, hist, 20)
+    sampled = coincidence_count(image_16.pixels, received, picks, hist, 20)
     want = _hand_count([stream[i] for i in picks], received_bits[picks], hist, 20)
     assert sampled.to_dict() == want
 
@@ -314,6 +324,34 @@ def test_importing_the_pipeline_leaves_numpy_random_unloaded():
     assert out.stdout.strip() == "False"
 
 
+_GUARD_W, _GUARD_H = 160, 120
+_GUARD_BITS = _GUARD_W * _GUARD_H * 24
+
+
+@pytest.mark.parametrize(
+    "sample, bound", [(None, 1.0), (_GUARD_BITS // 7, 3.0)], ids=["whole", "seventh"]
+)
+def test_run_memory_stays_below_bytes_per_bit(tmp_path, sample, bound):
+    """A run's traced peak, in bytes per bit of the image: a whole-image
+    run holds nothing of one byte per bit; a sampled run holds only the
+    sampler's marks and its int64 positions."""
+    import tracemalloc
+
+    rng = np.random.default_rng(120)
+    img = RasterImage(rng.integers(0, 256, size=(_GUARD_H, _GUARD_W, 3), dtype=np.uint8))
+    ppm = tmp_path / "guard.ppm"
+    ppm.write_bytes(write_raster(img))
+    config = make_config(ppm, tmp_path, sample=sample)
+    teleport_image(config)  # lazy imports are not the run's memory
+    tracemalloc.start()
+    try:
+        teleport_image(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * _GUARD_BITS, f"peak {peak / _GUARD_BITS:.2f} bytes per bit"
+
+
 def test_worker_count_does_not_change_results(ppm_64, tmp_path):
     rep_1 = teleport_image(make_config(ppm_64, tmp_path, threads=1, seed=31))
     rep_4 = teleport_image(make_config(ppm_64, tmp_path, threads=4, seed=31))
@@ -347,30 +385,42 @@ _ODD_SAMPLE_CASES = [(a, p) for a in (None, 0.8) for p in ("standard", "simplifi
 @pytest.mark.parametrize(
     "noise_a, protocol", _ODD_SAMPLE_CASES, ids=[f"odd_sample-{a}-{p}" for a, p in _ODD_SAMPLE_CASES]
 )
-def test_pipeline_matches_teleport_bit_draw_for_draw(protocol, noise_a, image_16, tmp_path):
-    """On an odd-length sample the pipeline's received bits, classical bits
-    and pairs equal the engine's, the padded ancilla included. The standard
-    histogram is drawn per run, not per bit, so only the simplified one (all
-    zeros) is compared here; the table and chi-squared tests pin the other."""
-    bits = bit_array(image_16)[sample_bits(image_16, 4097, seed=3)]
-    config = make_config("unused.ppm", tmp_path, protocol=protocol, noise_a=noise_a, seed=11)
-    received, hist, classical, pairs = _teleport_bit_sequence(bits, config)
+def test_pipeline_matches_teleport_bit_draw_for_draw(protocol, noise_a, ppm_16, image_16, tmp_path):
+    """On an odd-length sample the output image's bits at the sampled
+    positions, the classical bits and the pairs equal the engine's, the
+    padded ancilla included. The standard histogram is drawn per run, not
+    per bit, so only the simplified one (all zeros) is compared here; the
+    table and chi-squared tests pin the other."""
+    config = make_config(ppm_16, tmp_path, protocol=protocol, noise_a=noise_a, seed=11, sample=4097)
+    report = teleport_image(config)
+    picks = sample_bits(image_16, 4097, config.seed)
+    bits = bit_array(image_16)[picks]
     want_received, want_hist, want_classical = _reference_sequence(
         bits, protocol, noise_a, config.seed
     )
-    assert received.tolist() == want_received
+    assert bit_array(load_raster(tmp_path / "out.ppm"))[picks].tolist() == want_received
     if protocol == "simplified":
-        assert hist == want_hist
-    assert classical == want_classical
-    assert pairs == (bits.size + 1) // 2
+        assert report.coincidence.per_outcome_histogram == want_hist
+    assert report.coincidence.classical_bits_total == want_classical
+    assert report.pairs_processed == (bits.size + 1) // 2
 
 
 _NOISE_A = st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True))
 
 
+def _unit(branch: np.ndarray) -> np.ndarray:
+    """A nonzero branch scaled to norm 1. It is first scaled by the power of
+    two that brings its largest amplitude near 1, which is exact, so the
+    squares of a tiny branch neither underflow nor leave the norm further
+    from 1 than the engine allows."""
+    exp = np.frexp(np.max(np.abs(branch)))[1]
+    scaled = np.ldexp(branch.real, -exp) + 1j * np.ldexp(branch.imag, -exp)
+    return scaled / np.linalg.norm(scaled)
+
+
 def _bob_reads_one(branch: np.ndarray) -> float:
-    """P(Bob's qubit, the last of three, reads 1) in an unnormalized branch."""
-    amps = branch.reshape(4, 2)
+    """P(Bob's qubit, the last of three, reads 1) in a nonzero branch."""
+    amps = _unit(branch).reshape(4, 2)
     return float(np.sum(np.abs(amps[:, 1]) ** 2) / np.sum(np.abs(amps) ** 2))
 
 
@@ -387,8 +437,8 @@ def _standard_branches(bit, epr):
         branch = np.zeros_like(amps)
         branch[m0, m1] = amps[m0, m1]
         norms.append(float(np.sum(np.abs(branch) ** 2)))
-        if norms[-1] > 0:
-            post = StateVector(branch.reshape(-1) / np.sqrt(norms[-1]))
+        if np.any(branch):
+            post = StateVector(_unit(branch).reshape(-1))
             readouts.append(_bob_reads_one(standard_correction(post, m1, m0, qubit=2).amps))
     return np.array(norms), readouts
 
@@ -412,6 +462,8 @@ def _simplified_readouts(bit, epr):
 @given(noise_a=_NOISE_A)
 @example(noise_a=None)
 @example(noise_a=1.0)
+@example(noise_a=3.814640664431252e-158)  # branch norms are subnormal
+@example(noise_a=1e-170)  # branch norms underflow to 0
 def test_engine_branches_deliver_the_sent_bit(noise_a):
     """A basis-state payload arrives exactly: on every branch of either
     protocol Bob's corrected readout is 1 with probability exactly `bit`, so
@@ -460,7 +512,7 @@ def test_pooled_histograms_follow_the_outcome_table(noise_a, tmp_path):
     seeds = 2000
     for seed in range(seeds):
         config.seed = seed
-        hist = _teleport_bit_sequence(bits, config)[1]
+        hist = _teleport_bits(bits.size, n1, config)[0]
         assert sum(hist.values()) == n0 + n1
         pooled += [hist[key] for key in OUTCOME_KEYS]
     expected *= seeds
@@ -532,6 +584,33 @@ def test_benchmark_traced_names_are_called_through_the_module(ppm_16, tmp_path, 
     report = teleport_image(make_config(ppm_16, tmp_path, sample=sample))
     assert report.coincidence.coincidence == 1.0
     assert calls == {"sample_bits": 0 if sample is None else 1, "coincidence_count": 1}
+
+
+def test_benchmark_traced_image_full_run_checks_out(tmp_path, monkeypatch):
+    """The benchmark's traced image-full worker runs on this source tree:
+    every output passes its checks and the scorer's span is timed."""
+    import qteleport
+
+    src = os.path.dirname(os.path.dirname(qteleport.__file__))
+    bench = os.path.join(os.path.dirname(src), "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    import workloads
+
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "input.ppm").write_bytes(workloads.make_image(3))
+    argv = [
+        sys.executable, os.path.join(bench, "worker.py"), "--workload", "image-full",
+        "--root", str(tmp_path), "--run-dir", str(run_dir), "--seed", "3",
+        "--seconds", "1", "--trace", "1",
+    ]
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    result = json.loads((run_dir / "result.json").read_text())
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, result["failures"]
+    assert result["metrics"]["pipeline.coincidence_count_s"] > 0
 
 
 def test_invalid_configs_are_rejected(ppm_16, tmp_path):
