@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("standard", "simplified"), default="standard")
     p.add_argument("--noise-a", type=float, default=None, help="pair amplitude A in (0,1]")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample", type=_sample_arg, default=None, help="'all' or a bit count")
+    p.add_argument("--sample", type=_sample_arg, default=None,
+                   help="'all' or a bit count; sampling needs an image below 10**9 bits")
     p.add_argument(
         "--threads", type=int, default=1,
         help="accepted and echoed in the report; has no effect (nothing runs per bit)",

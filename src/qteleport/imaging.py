@@ -15,7 +15,7 @@ import numpy as np
 CHANNEL_NAMES = ("R", "G", "B")
 PLANES_PER_CHANNEL = 8
 BITS_PER_PIXEL = 24
-# The planes in canonical order, "R7" .. "B0": row k of `plane_ones`.
+# The planes in canonical order, "R7" .. "B0": row k of `plane_ones` and `plane_cells`.
 PLANE_NAMES = tuple(f"{c}{p}" for c in CHANNEL_NAMES for p in range(7, -1, -1))
 
 
@@ -99,7 +99,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 def load_raster(source) -> RasterImage:
     """Parse a binary PPM (P6) image. Header comments are skipped."""
     if isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
+        data = source
     elif hasattr(source, "read"):
         data = source.read()
     else:
@@ -121,17 +121,18 @@ def load_raster(source) -> RasterImage:
     if maxval != 255:
         raise PnmError(f"maxval {maxval} unsupported, expected 255")
     pos += 1  # single whitespace byte after maxval
-    payload = data[pos : pos + width * height * 3]
-    if len(payload) != width * height * 3:
+    size = width * height * 3
+    if len(data) - pos < size:
         raise PnmError("truncated pixel payload")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
-    return RasterImage(pixels)
+    pixels = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)  # no payload slice
+    return RasterImage(pixels.reshape(height, width, 3).copy())
 
 
 def write_raster(img: RasterImage) -> bytes:
     """Emit canonical binary PPM bytes (no comments)."""
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels.tobytes()
+    # The join is the one copy of the pixels; `header + tobytes()` makes two.
+    return b"".join((header, memoryview(np.ascontiguousarray(img.pixels))))
 
 
 def slice_bitplanes(img: RasterImage, channel: int) -> list[Bitplane]:
@@ -208,36 +209,37 @@ def image_from_bits(bits: np.ndarray, width: int, height: int) -> RasterImage:
     return RasterImage(channels.transpose(1, 2, 0).copy())
 
 
-def plane_ones(
-    pixels: np.ndarray, indices: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per plane, rows in PLANE_NAMES order: (1-bits, bits) over every bit
-    of the (h, w, 3) `pixels`, or over the canonical positions `indices`,
-    which must be strictly increasing and inside the image.
-
-    Each plane is one contiguous segment of the canonical enumeration, so
-    its positions are a slice of `indices` (edges from `np.searchsorted`)
-    and their pixel offsets are the positions less the plane's start. The
-    bits are read straight from the samples: nothing holds a byte per bit."""
+def plane_ones(pixels: np.ndarray) -> np.ndarray:
+    """The 1-bits of each plane of the (h, w, 3) `pixels`, rows in
+    PLANE_NAMES order. Each plane masks one bit of a contiguous copy of one
+    channel into one reused buffer: nothing holds a byte per bit."""
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ValueError(f"expected (h, w, 3) pixels, got shape {pixels.shape}")
-    per_plane = pixels.shape[0] * pixels.shape[1]
-    edges = np.arange(BITS_PER_PIXEL + 1) * per_plane
-    if indices is not None:
-        if indices.size and (indices[0] < 0 or indices[-1] >= edges[-1]):
-            raise ValueError(f"indices outside 0..{edges[-1] - 1}")
-        if np.any(indices[1:] <= indices[:-1]):
-            raise ValueError("indices must be strictly increasing")
-        edges = np.searchsorted(indices, edges)
-    channels = np.ascontiguousarray(pixels.transpose(2, 0, 1)).reshape(3, per_plane)
     ones = np.empty(BITS_PER_PIXEL, dtype=np.int64)
-    for row in range(BITS_PER_PIXEL):
-        channel, pos = divmod(row, PLANES_PER_CHANNEL)
-        samples = channels[channel]
-        if indices is not None:
-            samples = samples[indices[edges[row] : edges[row + 1]] - row * per_plane]
-        ones[row] = np.count_nonzero(samples & (0x80 >> pos))
-    return ones, np.diff(edges)
+    masked = np.empty(pixels.shape[:2], dtype=np.uint8)
+    for channel in range(3):
+        samples = np.ascontiguousarray(pixels[:, :, channel])
+        for pos in range(PLANES_PER_CHANNEL):  # plane 7..0
+            np.bitwise_and(samples, 0x80 >> pos, out=masked)
+            ones[channel * PLANES_PER_CHANNEL + pos] = np.count_nonzero(masked)
+    return ones
+
+
+def plane_cells(sent_px: np.ndarray, received_px: np.ndarray) -> np.ndarray:
+    """The bits of an image sent as `sent_px` and received as `received_px`
+    ((h, w, 3), one shape) counted in 96 cells: row k is plane PLANE_NAMES[k],
+    columns (sent 0 kept, sent 0 flipped, sent 1 kept, sent 1 flipped). Flips
+    are counted by `plane_ones` too, over only the pixels that differ."""
+    if sent_px.shape != received_px.shape:
+        raise ValueError(f"shape mismatch: {sent_px.shape} sent vs {received_px.shape} received")
+    ones = plane_ones(sent_px)
+    differ = np.flatnonzero(sent_px.reshape(-1) != received_px.reshape(-1)) // 3
+    differ = differ[np.diff(differ, prepend=-1) > 0]  # each differing pixel once
+    sent = sent_px.reshape(-1, 3)[differ][None]  # (1, pixels, 3)
+    flipped = sent ^ received_px.reshape(-1, 3)[differ][None]
+    f0, f1 = plane_ones(flipped & ~sent), plane_ones(flipped & sent)
+    zeros = sent_px.shape[0] * sent_px.shape[1] - ones
+    return np.stack([zeros - f0, f0, ones - f1, f1], axis=1)
 
 
 def address_of(index: int, width: int, height: int) -> BitAddress:

@@ -12,9 +12,10 @@ equals the sent bit in both protocols and nothing per bit is drawn. The one
 random observable is the standard protocol's 4-bin (m1, m0) histogram,
 drawn per run from the closed-form outcome table on one PCG64 stream; it
 needs only the number of 1-bits sent. The image stays in pixels throughout:
-the received image is a copy of the sent pixels, and every count (1-bits
-sent, mismatches per plane) comes from `imaging.plane_ones`, which alone
-knows the canonical bit order.
+the received image is a copy of the sent pixels, and every count comes from
+`imaging.plane_cells`, which splits the bits into 96 cells (plane, sent bit,
+kept or flipped) and alone knows the canonical bit order. A sampled run
+draws those cells' counts, never positions (`sample_bits`).
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .core import SQRT2_INV, PureQubit
-from .imaging import PLANE_NAMES, RasterImage, load_raster, plane_ones, write_raster
+from .imaging import PLANE_NAMES, RasterImage, load_raster, plane_cells, write_raster
 
 # Not called here: the benchmark's traced run (perfbench/worker.py) patches
 # these two by name on this module, so they stay importable from it.
@@ -64,6 +65,8 @@ class PipelineConfig:
             raise ValueError(f"noise amplitude {self.noise_a} outside (0, 1]")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.sample is not None and self.sample < 1:
+            raise ValueError(f"sample must be None or >= 1, got {self.sample}")
 
     def epr_amplitudes(self) -> tuple[float, float]:
         if self.noise_a is None:
@@ -186,51 +189,41 @@ def reports_equivalent(a: TeleportReport, b: TeleportReport) -> bool:
     return da == db
 
 
-def sample_bits(img: RasterImage, n: int, seed: int) -> np.ndarray:
-    """Uniform sample of n bits without replacement: their positions in the
-    canonical enumeration, as an ascending int64 array.
+def _checked_cells(cells) -> np.ndarray:
+    cells = np.asarray(cells)
+    if cells.shape != (len(PLANE_NAMES), 4) or cells.dtype.kind not in "iu" or np.any(cells < 0):
+        raise ValueError("cells must be a non-negative (24, 4) integer array")
+    return cells
 
-    Positions are marked in one byte per bit, never listed over the whole
-    population. Each round draws as many positions as are still missing,
-    with replacement, and recounts the marks, so it cannot overshoot; since
-    the stopping rule looks only at counts, every n-subset is equally
-    likely. Above half the population the complement is marked instead,
-    which keeps the rounds near log2(n)."""
-    total = img.total_bits()
+
+def sample_bits(cells: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """The cells (`imaging.plane_cells`) of a uniform sample of n bits
+    without replacement: their counts follow the multivariate hypergeometric
+    law over the cell sizes and are drawn from it on the stream
+    `derive_seed(seed, "sample")`, with nothing sized by n or by the image.
+    numpy's "marginals" method limits the image to fewer than 10**9 bits."""
+    cells = _checked_cells(cells)
+    total = int(cells.sum())
+    if total >= 10**9:
+        raise ValueError(f"cannot sample 10**9 bits or more (about 41.6M pixels), got {total}")
     if not 0 < n <= total:
         raise ValueError(f"sample size {n} outside 1..{total}")
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "sample")))
-    complement = n > total // 2
-    want = total - n if complement else n
-    marks = np.zeros(total, dtype=bool)
-    have = 0
-    while have < want:
-        marks[rng.integers(0, total, want - have)] = True
-        have = int(np.count_nonzero(marks))
-    if complement:
-        np.logical_not(marks, out=marks)
-    return np.flatnonzero(marks).astype(np.int64, copy=False)
+    return rng.multivariate_hypergeometric(cells.ravel(), n, method="marginals").reshape(-1, 4)
 
 
 def coincidence_count(
-    sent_px: np.ndarray,
-    received_px: np.ndarray,
-    indices: np.ndarray | None = None,
-    histogram: dict[str, int] | None = None,
-    classical_bits: int = 0,
+    cells: np.ndarray, histogram: dict[str, int] | None = None, classical_bits: int = 0
 ) -> CoincidenceReport:
-    """Exact match counting with a per-plane breakdown, on two (h, w, 3)
-    pixel arrays of one shape.
-
-    Without `indices` every bit of the image is scored; otherwise only the
-    canonical positions in `indices`, strictly increasing. A plane's
-    mismatches are the 1-bits of `sent_px ^ received_px` in it. Planes that
-    received no bits report None and stay out of the aggregate denominator
-    (which only ever counts scored bits).
+    """Exact match counting with a per-plane breakdown, from the cells of
+    the scored bits: `imaging.plane_cells` for a whole image, `sample_bits`
+    for a sample. A plane's bits are its row's sum and its mismatches the
+    flipped columns. Planes that received no bits report None and stay out
+    of the aggregate denominator (which only ever counts scored bits).
     """
-    if sent_px.shape != received_px.shape:
-        raise ValueError(f"shape mismatch: {sent_px.shape} sent vs {received_px.shape} received")
-    flipped, plane_total = plane_ones(sent_px ^ received_px, indices)
+    cells = _checked_cells(cells)
+    plane_total = cells.sum(axis=1)
+    flipped = cells[:, 1::2].sum(axis=1)
     per_plane: dict[str, float | None] = {
         name: int(tot - bad) / int(tot) if tot else None
         for name, bad, tot in zip(PLANE_NAMES, flipped, plane_total)
@@ -295,16 +288,18 @@ def teleport_image(config: PipelineConfig) -> TeleportReport:
     stages["load"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    indices = None if config.sample is None else sample_bits(img, config.sample, config.seed)
-    n = img.total_bits() if indices is None else int(indices.size)
-    stages["decompose"] = time.perf_counter() - t
+    received = img.pixels.copy()  # every sent bit arrives as sent
+    cells = plane_cells(img.pixels, received)
+    stages["teleport_kernel"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    n1 = int(plane_ones(img.pixels, indices)[0].sum())
-    received = img.pixels.copy()  # every sent bit arrives as sent
-    stages["teleport_kernel"] = time.perf_counter() - t
-    histogram, classical, pairs = _teleport_bits(n, n1, config, stages)
-    stages["teleport"] = time.perf_counter() - t
+    if config.sample is not None:
+        cells = sample_bits(cells, config.sample, config.seed)
+    stages["decompose"] = time.perf_counter() - t
+
+    n = int(cells.sum())
+    histogram, classical, pairs = _teleport_bits(n, int(cells[:, 2:].sum()), config, stages)
+    stages["teleport"] = stages["teleport_kernel"] + stages["teleport_draw"]
 
     t = time.perf_counter()
     if config.output_path:
@@ -313,7 +308,7 @@ def teleport_image(config: PipelineConfig) -> TeleportReport:
     stages["reconstruct"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    coincidence = coincidence_count(img.pixels, received, indices, histogram, classical)
+    coincidence = coincidence_count(cells, histogram, classical)
     stages["score"] = time.perf_counter() - t
 
     wall = time.perf_counter() - t_start

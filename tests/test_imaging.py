@@ -15,6 +15,7 @@ from qteleport.imaging import (
     bit_stream,
     image_from_bits,
     load_raster,
+    plane_cells,
     plane_ones,
     slice_bitplanes,
     write_bitplane,
@@ -78,6 +79,33 @@ def test_load_from_path(tmp_path):
     path = tmp_path / "img.ppm"
     path.write_bytes(b"P6\n2 2\n255\n" + FIXTURE_2X2)
     assert load_raster(path).pixels.reshape(-1).tolist() == list(FIXTURE_2X2)
+
+
+def test_ppm_io_copies_the_pixels_once(tmp_path):
+    """Reading holds the file's bytes and the pixel array, with no payload
+    slice between them; writing copies the pixels into its output once. A
+    trailing byte after the payload is ignored, and a bytearray loads too."""
+    import tracemalloc
+
+    img = _every_byte_image(width=160, height=120)
+    size = img.pixels.size
+    blob = write_raster(img)
+    path = tmp_path / "big.ppm"
+    path.write_bytes(blob + b"\n")
+    tracemalloc.start()
+    try:
+        loaded = load_raster(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        written = write_raster(loaded)
+        write_peak = tracemalloc.get_traced_memory()[1] - loaded.pixels.nbytes
+    finally:
+        tracemalloc.stop()
+    assert written == blob
+    assert loaded.pixels.flags.writeable and loaded.pixels.flags.owndata
+    assert read_peak < 2.25 * size, (read_peak, size)
+    assert write_peak < 1.25 * size, (write_peak, size)
+    assert np.array_equal(load_raster(bytearray(blob)).pixels, img.pixels)
 
 
 # -------------------------------------------------------------- bitplanes
@@ -250,46 +278,45 @@ def test_bit_array_copies_the_pixels_once():
 
 
 @st.composite
-def _image_and_positions(draw):
-    """A random image, 1xN and Nx1 included, with strictly increasing
-    canonical positions that hold position 0 and the last position and
-    leave at least one plane without positions."""
+def _image_and_flips(draw):
+    """A random image, 1xN and Nx1 included, and a received copy with bits
+    flipped at random canonical positions: none, a few, or most of them,
+    always position 0 and the last one when any."""
     n = draw(st.integers(1, 12))
     w, h = draw(st.sampled_from([(n, 1), (1, n), (n, draw(st.integers(2, 12)))]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     img = RasterImage(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
-    planes = rng.random(24) < 0.5
-    planes[[0, 23]] = True
-    planes[draw(st.integers(1, 22))] = False
-    marks = np.repeat(planes, w * h) & (rng.random(img.total_bits()) < draw(st.floats(0, 1)))
-    marks[[0, -1]] = True
-    return img, np.flatnonzero(marks)
+    flips = rng.random(img.total_bits()) < draw(st.sampled_from([0.0, 0.05, 0.5, 0.95]))
+    if flips.any():
+        flips[[0, -1]] = True
+    sent_bits = bit_array(img)
+    received = image_from_bits(sent_bits ^ flips, w, h)
+    return img, received, sent_bits, flips
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=_image_and_positions())
+@given(case=_image_and_flips())
 def test_plane_ones_matches_bit_array(case):
-    img, picks = case
-    bits = bit_array(img)
+    img, _, bits, _ = case
     per_plane = img.width * img.height
-    ones, total = plane_ones(img.pixels)
+    ones = plane_ones(img.pixels)
+    assert ones.dtype == np.int64
     assert ones.tolist() == bits.reshape(24, per_plane).sum(axis=1).tolist()
-    assert total.tolist() == [per_plane] * 24
-    ones, total = plane_ones(img.pixels, picks)
-    rows = picks // per_plane
-    assert ones.tolist() == np.bincount(rows, weights=bits[picks], minlength=24).tolist()
-    assert total.tolist() == np.bincount(rows, minlength=24).tolist()
-    assert 0 in total.tolist()
 
 
-@pytest.mark.parametrize(
-    "picks", [[-1, 3], [0, 2 * 3 * 24], [4, 4], [5, 2], [0, 7, 6]],
-    ids=["negative", "past-the-end", "repeated", "descending", "descending-tail"],
-)
-def test_plane_ones_rejects_bad_positions(picks):
-    img = RasterImage(np.zeros((3, 2, 3), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        plane_ones(img.pixels, np.array(picks, dtype=np.int64))
+@settings(max_examples=80, deadline=None)
+@given(case=_image_and_flips())
+def test_plane_cells_matches_bit_array_hand_count(case):
+    """Each bit counted by hand in its cell: row = plane (canonical order),
+    column = 2 * sent bit + flipped."""
+    img, received, sent_bits, flips = case
+    per_plane = img.width * img.height
+    want = np.zeros((24, 4), dtype=np.int64)
+    for i, (bit, flipped) in enumerate(zip(sent_bits.tolist(), flips.tolist())):
+        want[i // per_plane, 2 * bit + int(flipped)] += 1
+    cells = plane_cells(img.pixels, received.pixels)
+    assert cells.dtype == np.int64
+    assert cells.tolist() == want.tolist()
 
 
 def test_raster_image_validates_shape_and_dtype():

@@ -532,9 +532,10 @@ def test_wire_matches_in_process_bit_for_bit(fabric_server, protocol, noise_a):
 
 def test_sampled_fixture_bits_over_loopback_match_pipeline(fabric_server, image_16, ppm_16, tmp_path):
     from qteleport.imaging import bit_array
-    from qteleport.pipeline import PipelineConfig, sample_bits, teleport_image
+    from qteleport.pipeline import PipelineConfig, teleport_image
 
-    picks = sample_bits(image_16, 100, seed=21)
+    # The pipeline samples counts, not positions: any 100 positions stand for it.
+    picks = np.sort(np.random.default_rng(21).choice(image_16.total_bits(), 100, replace=False))
     bits = bit_array(image_16)[picks].tolist()
     for protocol, expected_classical in (("standard", 200), ("simplified", 0)):
         alice, bob = run_session(fabric_server.address, protocol, bits)

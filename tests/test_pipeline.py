@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from qteleport import pipeline
 from qteleport.cli import main as cli_main
 from qteleport.core import GATE_H, StateVector, apply_1q, apply_cnot, tensor
-from qteleport.imaging import RasterImage, bit_array, image_from_bits, load_raster, write_raster
+from qteleport.imaging import (
+    RasterImage,
+    bit_array,
+    image_from_bits,
+    load_raster,
+    plane_cells,
+    write_raster,
+)
 from qteleport.pipeline import (
     OUTCOME_KEYS,
     PipelineConfig,
@@ -49,156 +56,197 @@ def make_config(ppm, tmp_path, **kw):
 # ---------------------------------------------------------------- sampling
 
 
-class _Population:
-    """Stands in for an image where only the bit count matters."""
+def _cells_of(img):
+    return plane_cells(img.pixels, img.pixels)
 
-    def __init__(self, total):
-        self.total = total
 
-    def total_bits(self):
-        return self.total
+def _cells(sizes):
+    """A cells array holding `sizes` at the given flat cell indices, 0 elsewhere."""
+    cells = np.zeros((24, 4), dtype=np.int64)
+    for index, size in sizes.items():
+        cells.reshape(-1)[index] = size
+    return cells
+
+
+def _full_hd_cells():
+    """A 1920x1080 image's cells, no flips: a 0/1 split that varies by plane."""
+    per_plane = 1920 * 1080
+    ones = per_plane * np.arange(1, 25) // 25
+    return np.stack([per_plane - ones, 0 * ones, ones, 0 * ones], axis=1)
 
 
 def test_sample_bits_determinism(image_16):
-    a = sample_bits(image_16, 100, seed=5)
-    b = sample_bits(image_16, 100, seed=5)
-    assert a.dtype == np.int64
+    cells = _cells_of(image_16)
+    a = sample_bits(cells, 100, seed=5)
+    b = sample_bits(cells, 100, seed=5)
+    assert a.dtype == np.int64 and a.shape == (24, 4)
     assert np.array_equal(a, b)
-    assert np.all(np.diff(a) > 0)  # ascending, hence distinct
-    assert 0 <= a[0] and a[-1] < image_16.total_bits()
-    assert not np.array_equal(a, sample_bits(image_16, 100, seed=6))
+    assert a.sum() == 100 and np.all((0 <= a) & (a <= cells))
+    assert not np.array_equal(a, sample_bits(cells, 100, seed=6))
 
 
 def test_sample_bits_full_population_is_permutation(image_16):
-    """The whole population comes back as the identity: canonical order."""
-    total = image_16.total_bits()
-    picks = sample_bits(image_16, total, seed=5)
+    """The whole population comes back as the cells, unchanged."""
+    cells = _cells_of(image_16)
+    picks = sample_bits(cells, int(cells.sum()), seed=5)
     assert picks.dtype == np.int64
-    assert np.array_equal(picks, np.arange(total))
+    assert np.array_equal(picks, cells)
 
 
 @pytest.mark.parametrize("size", ["one", "half", "half+1"])
 def test_sample_bits_edge_sizes(image_16, size):
-    """Up to total // 2 the sample itself is marked, above it the complement."""
+    cells = _cells_of(image_16)
     total = image_16.total_bits()
     n = {"one": 1, "half": total // 2, "half+1": total // 2 + 1}[size]
-    picks = sample_bits(image_16, n, seed=12)
-    assert picks.size == n and picks.dtype == np.int64
-    assert np.all(np.diff(picks) > 0)
-    assert 0 <= picks[0] and picks[-1] < total
+    picks = sample_bits(cells, n, seed=12)
+    assert picks.sum() == n and picks.dtype == np.int64
+    assert np.all((0 <= picks) & (picks <= cells))
 
 
-# The p = 0.001 upper quantile of chi-squared with 14 degrees of freedom.
+# p = 0.001 upper quantiles of chi-squared (standard tables).
 _CHI2_14DF_P001 = 36.12
+_CHI2_5DF_P001 = 20.52
+
+# Six cells of one bit each, in different planes and columns.
+_SIX_SINGLE_BITS = {0: 1, 5: 1, 18: 1, 47: 1, 70: 1, 95: 1}
 
 
-@pytest.mark.parametrize("n", [2, 4])  # 4 of 6 takes the complement path
+@pytest.mark.parametrize("n", [2, 4])
 def test_sample_bits_is_uniform_over_subsets(n):
-    """Every n-subset of 6 positions is equally likely: all 15 appear over
-    15 000 seeds, and their counts pass a chi-squared test at p = 0.001."""
-    population = _Population(6)
+    """Every n-subset of 6 one-bit cells is equally likely: all 15 appear
+    over 15 000 seeds, and their counts pass a chi-squared test at p = 0.001."""
+    cells = _cells(_SIX_SINGLE_BITS)
     counts = {}
     for seed in range(15_000):
-        key = tuple(sample_bits(population, n, seed).tolist())
+        key = tuple(np.flatnonzero(sample_bits(cells, n, seed)).tolist())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 15
+    assert {len(key) for key in counts} == {n}
     expected = 15_000 / 15
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < _CHI2_14DF_P001, counts
 
 
+def test_sample_bits_follows_the_hypergeometric_pmf():
+    """Cells of 1, 2 and 3 bits, 3 drawn: the 6 possible count vectors
+    appear over 15 000 seeds with the multivariate hypergeometric pmf
+    C(1, k1) C(2, k2) C(3, k3) / C(6, 3), at p = 0.001."""
+    from math import comb
+
+    sizes = {7: 1, 33: 2, 90: 3}
+    cells = _cells(sizes)
+    counts = {}
+    for seed in range(15_000):
+        drawn = sample_bits(cells, 3, seed).reshape(-1)
+        assert drawn.sum() == 3 and np.count_nonzero(drawn[[7, 33, 90]]) == np.count_nonzero(drawn)
+        key = tuple(drawn[[7, 33, 90]].tolist())
+        counts[key] = counts.get(key, 0) + 1
+    outcomes = [(a, b, 3 - a - b) for a in range(2) for b in range(3) if 0 <= 3 - a - b <= 3]
+    assert len(outcomes) == 6 and set(counts) <= set(outcomes)
+    pmf = {k: comb(1, k[0]) * comb(2, k[1]) * comb(3, k[2]) / comb(6, 3) for k in outcomes}
+    assert sum(pmf.values()) == pytest.approx(1.0)
+    chi2 = sum((counts.get(k, 0) - 15_000 * p) ** 2 / (15_000 * p) for k, p in pmf.items())
+    assert chi2 < _CHI2_5DF_P001, counts
+
+
 def test_sample_bits_full_scale_geometry():
-    height, width = 1080, 1920
-    big = RasterImage(np.zeros((height, width, 3), dtype=np.uint8))
-    picks = sample_bits(big, 100, seed=9)
-    assert picks.shape == (100,)
-    # bit_array's layout is (channel, plane 7..0, row, col).
-    plane, pixel = np.divmod(picks, width * height)
-    row, col = np.divmod(pixel, width)
-    assert np.all(plane < 3 * 8)
-    assert np.all((0 <= row) & (row < height) & (0 <= col) & (col < width))
+    """On a full-HD image's cells the counts stay inside their cells: none
+    lands in a flipped column, which holds no bits here."""
+    cells = _full_hd_cells()
+    assert cells.sum() == 1920 * 1080 * 24
+    picks = sample_bits(cells, 100, seed=9)
+    assert picks.shape == (24, 4) and picks.sum() == 100
+    assert np.all((0 <= picks) & (picks <= cells))
+    assert not picks[:, 1::2].any()
 
 
 def test_sample_bits_keeps_no_population_sized_index_array():
-    """A 1M-bit sample of a full-HD image (49.8M bits) stays within a
-    one-byte-per-bit budget: no int64 array over the whole population."""
+    """A 1M-bit sample of a full-HD image (49.8M bits) allocates nothing
+    sized by the sample or the image."""
     import tracemalloc
 
-    big = RasterImage(np.zeros((1080, 1920, 3), dtype=np.uint8))
+    cells = _full_hd_cells()
+    sample_bits(cells, 10, seed=3)  # lazy imports are not the sampler's memory
     tracemalloc.start()
     try:
-        picks = sample_bits(big, 1_000_000, seed=3)
+        picks = sample_bits(cells, 1_000_000, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert picks.size == 1_000_000
-    assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+    assert picks.sum() == 1_000_000
+    assert peak < 64 * 2**10, f"peak {peak / 2**10:.1f} KiB"
 
 
 def test_sample_bits_rejects_oversized_request(image_16):
+    cells = _cells_of(image_16)
+    for n in (image_16.total_bits() + 1, 0, -1):
+        with pytest.raises(ValueError):
+            sample_bits(cells, n, seed=0)
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [np.ones((23, 4), dtype=np.int64), np.ones((24, 3), dtype=np.int64),
+     np.ones(96, dtype=np.int64), np.ones((24, 4)), -np.ones((24, 4), dtype=np.int64)],
+    ids=["short", "narrow", "flat", "float", "negative"],
+)
+def test_sample_bits_rejects_malformed_cells(cells):
     with pytest.raises(ValueError):
-        sample_bits(image_16, image_16.total_bits() + 1, seed=0)
+        sample_bits(cells, 1, seed=0)
+
+
+def test_sample_bits_refuses_images_of_a_billion_bits():
+    """numpy's marginals method needs fewer than 10**9 bits in all; one bit
+    fewer still samples."""
+    with pytest.raises(ValueError, match=r"10\*\*9 bits"):
+        sample_bits(_cells({0: 10**9 - 24, 95: 24}), 1000, seed=0)
+    picks = sample_bits(_cells({0: 10**9 - 25, 95: 24}), 1000, seed=0)
+    assert picks.sum() == 1000
 
 
 # ----------------------------------------------------------------- scoring
 
-# A 100x1 image: canonical positions 0..99 are plane R7, row 0, column i,
-# which is bit 7 of the red sample of pixel i.
-W, H = 100, 1
 
-
-def _red_msb(bits):
-    """A 100x1 image whose plane R7 holds `bits`; every other bit is 0."""
-    px = np.zeros((H, W, 3), dtype=np.uint8)
-    px[0, :, 0] = np.asarray(bits, dtype=np.uint8) << 7
-    return px
+def _r7_cells(kept0=0, flipped0=0, kept1=0, flipped1=0):
+    """Cells with bits only in plane R7 (row 0)."""
+    cells = np.zeros((24, 4), dtype=np.int64)
+    cells[0] = kept0, flipped0, kept1, flipped1
+    return cells
 
 
 def test_coincidence_identical_streams():
-    sent = _red_msb(np.arange(100) % 2)
-    rep = coincidence_count(sent, sent.copy(), indices=np.arange(100))
+    rep = coincidence_count(_r7_cells(kept0=50, kept1=50))
     assert rep.coincidence == 1.0 and rep.matched == 100
 
 
 def test_coincidence_single_flip():
-    sent = _red_msb(np.zeros(100))
-    received = sent.copy()
-    received[0, 7, 0] ^= 0x80
-    rep = coincidence_count(sent, received, indices=np.arange(100))
+    rep = coincidence_count(_r7_cells(kept0=99, flipped0=1))
     assert rep.coincidence == pytest.approx(0.99)
     assert rep.per_plane["R7"] == pytest.approx(0.99)
+    assert coincidence_count(_r7_cells(kept1=99, flipped1=1)).to_dict() == rep.to_dict()
 
 
 def test_coincidence_unsampled_planes_report_no_data():
-    sent = _red_msb(np.ones(100))
-    rep = coincidence_count(sent, sent, indices=np.arange(10))
+    rep = coincidence_count(_r7_cells(kept1=10))
     assert rep.per_plane["R7"] == 1.0
     assert rep.per_plane["G3"] is None
     assert rep.total_bits == 10
 
 
 def test_coincidence_rejects_length_mismatch():
-    """Sent and received must be (h, w, 3) pixel arrays of one shape."""
-    sent = _red_msb(np.zeros(100))
+    """Sent and received must be (h, w, 3) pixel arrays of one shape, and
+    the scorer takes only a (24, 4) cells array."""
+    sent = np.zeros((1, 100, 3), dtype=np.uint8)
     with pytest.raises(ValueError):
-        coincidence_count(sent, sent[:, :99], indices=np.arange(1))
+        plane_cells(sent, sent[:, :99])
     with pytest.raises(ValueError):
-        coincidence_count(sent, np.zeros((0, 0, 3), dtype=np.uint8))
+        plane_cells(sent, np.zeros((0, 0, 3), dtype=np.uint8))
     with pytest.raises(ValueError):
-        coincidence_count(sent, sent[:, :99])  # a whole image of the other shape
+        plane_cells(sent.reshape(100, 3), sent.reshape(100, 3))
     with pytest.raises(ValueError):
-        coincidence_count(sent.reshape(W, 3), sent.reshape(W, 3))
-
-
-@pytest.mark.parametrize(
-    "indices", [[3, 1], [2, 2], [0, 5, 4], [-1, 0], [0, W * H * 24]],
-    ids=["descending", "repeated", "descending-tail", "negative", "past-the-end"],
-)
-def test_coincidence_rejects_bad_indices(indices):
-    """Positions must be strictly increasing and inside the image."""
-    sent = _red_msb(np.zeros(100))
+        coincidence_count(_r7_cells(kept0=1)[:23])
     with pytest.raises(ValueError):
-        coincidence_count(sent, sent, indices=np.array(indices, dtype=np.int64))
+        coincidence_count(_r7_cells(kept0=1).reshape(-1))
 
 
 def _hand_count(stream, received_bits, hist, classical_bits):
@@ -235,11 +283,15 @@ def test_array_scorer_matches_hand_count_over_bit_stream(image_16):
     received = image_from_bits(received_bits, image_16.width, image_16.height).pixels
     hist = {"00": 1, "01": 2, "10": 3, "11": 4}
 
-    full = coincidence_count(image_16.pixels, received, None, hist, classical_bits=20)
+    full = coincidence_count(plane_cells(image_16.pixels, received), hist, classical_bits=20)
     assert full.to_dict() == _hand_count(stream, received_bits, hist, 20)
 
-    picks = sample_bits(image_16, 500, seed=8)
-    sampled = coincidence_count(image_16.pixels, received, picks, hist, 20)
+    # A sample's cells, counted by hand from positions picked here.
+    picks = np.sort(rng.choice(sent_bits.size, size=500, replace=False))
+    per_plane = image_16.width * image_16.height
+    cell = picks // per_plane * 4 + 2 * sent_bits[picks] + (sent_bits ^ received_bits)[picks]
+    cells = np.bincount(cell, minlength=96).reshape(24, 4)
+    sampled = coincidence_count(cells, hist, 20)
     want = _hand_count([stream[i] for i in picks], received_bits[picks], hist, 20)
     assert sampled.to_dict() == want
 
@@ -332,9 +384,8 @@ _GUARD_BITS = _GUARD_W * _GUARD_H * 24
     "sample, bound", [(None, 1.0), (_GUARD_BITS // 7, 3.0)], ids=["whole", "seventh"]
 )
 def test_run_memory_stays_below_bytes_per_bit(tmp_path, sample, bound):
-    """A run's traced peak, in bytes per bit of the image: a whole-image
-    run holds nothing of one byte per bit; a sampled run holds only the
-    sampler's marks and its int64 positions."""
+    """A run's traced peak, in bytes per bit of the image: neither a
+    whole-image run nor a sampled one holds anything of one byte per bit."""
     import tracemalloc
 
     rng = np.random.default_rng(120)
@@ -350,6 +401,30 @@ def test_run_memory_stays_below_bytes_per_bit(tmp_path, sample, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * _GUARD_BITS, f"peak {peak / _GUARD_BITS:.2f} bytes per bit"
+
+
+def test_full_hd_sampled_run_peaks_no_higher_than_whole_run(tmp_path):
+    """A 1M-bit sample of a full-HD image allocates nothing sized by the
+    sample or the image beyond what a whole run of it holds: its peak is the
+    whole run's to within a few small objects (16 KiB), where 1M int64
+    positions alone would take 8 MB."""
+    import tracemalloc
+
+    rng = np.random.default_rng(1080)
+    img = RasterImage(rng.integers(0, 256, size=(1080, 1920, 3), dtype=np.uint8))
+    ppm = tmp_path / "full_hd.ppm"
+    ppm.write_bytes(write_raster(img))
+    peaks = {}
+    for sample in (None, 1_000_000):
+        config = make_config(ppm, tmp_path, protocol="simplified", sample=sample)
+        teleport_image(config)  # lazy imports are not the run's memory
+        tracemalloc.start()
+        try:
+            teleport_image(config)
+            peaks[sample] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1_000_000] <= peaks[None] + 16 * 2**10, peaks
 
 
 def test_worker_count_does_not_change_results(ppm_64, tmp_path):
@@ -393,7 +468,9 @@ def test_pipeline_matches_teleport_bit_draw_for_draw(protocol, noise_a, ppm_16, 
     table and chi-squared tests pin the other."""
     config = make_config(ppm_16, tmp_path, protocol=protocol, noise_a=noise_a, seed=11, sample=4097)
     report = teleport_image(config)
-    picks = sample_bits(image_16, 4097, config.seed)
+    # A run draws counts, not positions: any 4097 positions stand for it.
+    rng = np.random.default_rng(config.seed)
+    picks = np.sort(rng.choice(image_16.total_bits(), 4097, replace=False))
     bits = bit_array(image_16)[picks]
     want_received, want_hist, want_classical = _reference_sequence(
         bits, protocol, noise_a, config.seed
@@ -537,7 +614,10 @@ def test_simplified_protocol_draws_nothing(ppm_16, tmp_path, monkeypatch):
     "fixture, sample, seed, golden",
     [
         ("ppm_64", None, 31, {"00": 24623, "01": 24803, "10": 24333, "11": 24545}),
-        ("ppm_16", 1000, 777, {"00": 252, "01": 263, "10": 257, "11": 228}),
+        # Moved in v0.10.0: a sampled run draws its cell counts from the
+        # multivariate hypergeometric law, so its n1 changed (v0.9.0: 252,
+        # 263, 257, 228).
+        ("ppm_16", 1000, 777, {"00": 249, "01": 262, "10": 260, "11": 229}),
     ],
     ids=["ppm_64-full-seed31", "ppm_16-sample1000-seed777"],
 )
@@ -586,9 +666,10 @@ def test_benchmark_traced_names_are_called_through_the_module(ppm_16, tmp_path, 
     assert calls == {"sample_bits": 0 if sample is None else 1, "coincidence_count": 1}
 
 
-def test_benchmark_traced_image_full_run_checks_out(tmp_path, monkeypatch):
-    """The benchmark's traced image-full worker runs on this source tree:
-    every output passes its checks and the scorer's span is timed."""
+def _traced_worker_run(workload, tmp_path, monkeypatch) -> dict:
+    """The benchmark's traced worker for `workload` on this source tree, at
+    seed 3 for one second; returns its per-layer metrics after checking
+    that every output passed."""
     import qteleport
 
     src = os.path.dirname(os.path.dirname(qteleport.__file__))
@@ -600,7 +681,7 @@ def test_benchmark_traced_image_full_run_checks_out(tmp_path, monkeypatch):
     run_dir.mkdir()
     (run_dir / "input.ppm").write_bytes(workloads.make_image(3))
     argv = [
-        sys.executable, os.path.join(bench, "worker.py"), "--workload", "image-full",
+        sys.executable, os.path.join(bench, "worker.py"), "--workload", workload,
         "--root", str(tmp_path), "--run-dir", str(run_dir), "--seed", "3",
         "--seconds", "1", "--trace", "1",
     ]
@@ -610,7 +691,20 @@ def test_benchmark_traced_image_full_run_checks_out(tmp_path, monkeypatch):
     result = json.loads((run_dir / "result.json").read_text())
     assert result["attempted"] > 0
     assert result["failed"] == 0, result["failures"]
-    assert result["metrics"]["pipeline.coincidence_count_s"] > 0
+    return result["metrics"]
+
+
+def test_benchmark_traced_image_full_run_checks_out(tmp_path, monkeypatch):
+    """Every output passes its checks and the scorer's span is timed."""
+    metrics = _traced_worker_run("image-full", tmp_path, monkeypatch)
+    assert metrics["pipeline.coincidence_count_s"] > 0
+
+
+def test_benchmark_traced_image_sampled_run_checks_out(tmp_path, monkeypatch):
+    """The sampled run still calls the patched `sample_bits`."""
+    metrics = _traced_worker_run("image-sampled", tmp_path, monkeypatch)
+    assert metrics["pipeline.coincidence_count_s"] > 0
+    assert metrics["pipeline.sample_bits_s"] > 0
 
 
 def test_invalid_configs_are_rejected(ppm_16, tmp_path):
@@ -620,6 +714,16 @@ def test_invalid_configs_are_rejected(ppm_16, tmp_path):
         teleport_image(make_config(ppm_16, tmp_path, noise_a=1.5))
     with pytest.raises(ValueError):
         teleport_image(make_config(ppm_16, tmp_path, threads=0))
+
+
+@pytest.mark.parametrize("sample", [0, -5])
+def test_bad_sample_is_rejected_before_loading(ppm_16, tmp_path, monkeypatch, sample):
+    def no_load(*args, **kwargs):
+        raise AssertionError("the image was loaded")
+
+    monkeypatch.setattr(pipeline, "load_raster", no_load)
+    with pytest.raises(ValueError, match="sample"):
+        teleport_image(make_config(ppm_16, tmp_path, sample=sample))
 
 
 # ---------------------------------------------------------------- reports
