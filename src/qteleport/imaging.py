@@ -15,7 +15,7 @@ import numpy as np
 CHANNEL_NAMES = ("R", "G", "B")
 PLANES_PER_CHANNEL = 8
 BITS_PER_PIXEL = 24
-# The planes in canonical order, "R7" .. "B0": row k of `plane_ones` and `plane_cells`.
+# The planes in canonical order, "R7" .. "B0": row k of `plane_ones`.
 PLANE_NAMES = tuple(f"{c}{p}" for c in CHANNEL_NAMES for p in range(7, -1, -1))
 
 
@@ -100,8 +100,6 @@ def load_raster(source) -> RasterImage:
     """Parse a binary PPM (P6) image. Header comments are skipped."""
     if isinstance(source, (bytes, bytearray)):
         data = source
-    elif hasattr(source, "read"):
-        data = source.read()
     else:
         with open(source, "rb") as fh:
             data = fh.read()
@@ -223,23 +221,6 @@ def plane_ones(pixels: np.ndarray) -> np.ndarray:
             np.bitwise_and(samples, 0x80 >> pos, out=masked)
             ones[channel * PLANES_PER_CHANNEL + pos] = np.count_nonzero(masked)
     return ones
-
-
-def plane_cells(sent_px: np.ndarray, received_px: np.ndarray) -> np.ndarray:
-    """The bits of an image sent as `sent_px` and received as `received_px`
-    ((h, w, 3), one shape) counted in 96 cells: row k is plane PLANE_NAMES[k],
-    columns (sent 0 kept, sent 0 flipped, sent 1 kept, sent 1 flipped). Flips
-    are counted by `plane_ones` too, over only the pixels that differ."""
-    if sent_px.shape != received_px.shape:
-        raise ValueError(f"shape mismatch: {sent_px.shape} sent vs {received_px.shape} received")
-    ones = plane_ones(sent_px)
-    differ = np.flatnonzero(sent_px.reshape(-1) != received_px.reshape(-1)) // 3
-    differ = differ[np.diff(differ, prepend=-1) > 0]  # each differing pixel once
-    sent = sent_px.reshape(-1, 3)[differ][None]  # (1, pixels, 3)
-    flipped = sent ^ received_px.reshape(-1, 3)[differ][None]
-    f0, f1 = plane_ones(flipped & ~sent), plane_ones(flipped & sent)
-    zeros = sent_px.shape[0] * sent_px.shape[1] - ones
-    return np.stack([zeros - f0, f0, ones - f1, f1], axis=1)
 
 
 def address_of(index: int, width: int, height: int) -> BitAddress:

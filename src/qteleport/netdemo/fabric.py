@@ -1,6 +1,10 @@
 """Entanglement-fabric broker: owns each session's joint statevector and
 enforces locality (a client may only drive qubits it owns).
 
+A role is bound per session, not taken on the client's word: the connection
+that creates a session, or first acts in it as a role, holds that role
+there, and no other connection may act as it in that session.
+
 The fabric holds no circuit. It allocates pairs and payload qubits, gives
 each the owner its session's protocol names in `OWNERS`, and runs the
 gates, measurements and resets those owners send; the per-bit circuits
@@ -74,8 +78,22 @@ class Session:
         self.state: StateVector | None = None
         self.handles: list[int] = []  # live handles in axis order
         self.owner: dict[int, str] = {}  # retired handles keep their entry
+        self.parties: dict[str, dict] = {}  # role -> the connection holding it
         self._next_handle = 0
         self.lock = threading.Lock()
+
+    def bind(self, role: str, conn: dict) -> None:
+        """Let `conn` act as `role` here, binding the role to it if no
+        connection holds it yet. A connection holds one role per session."""
+        with self.lock:
+            holder = self.parties.get(role)
+            if holder is None and not any(c is conn for c in self.parties.values()):
+                self.parties[role] = holder = conn
+            if holder is not conn:
+                raise FabricError(
+                    f"locality violation: this connection may not act as {role} "
+                    f"in session {self.session_id}"
+                )
 
     # -- register plumbing -------------------------------------------------
 
@@ -247,10 +265,12 @@ class Fabric:
         self._next_session = 0
         self._lock = threading.Lock()
 
-    def new_session(self, protocol: str, noise_a: float | None) -> Session:
+    def new_session(self, protocol: str, noise_a: float | None, role: str, conn: dict) -> Session:
+        """Create a session whose `role` is held by `conn`, its creator."""
         with self._lock:
             sid = self._next_session
             session = Session(sid, protocol, noise_a, derive_seed(self.master_seed, "session", sid))
+            session.bind(role, conn)
             self.sessions[sid] = session
             self._next_session += 1  # only once the session is valid
         return session
@@ -282,10 +302,12 @@ class Fabric:
             if role is None:
                 raise FabricError("HELLO required before other commands")
             if mtype == "NEW_SESSION":
-                session = self.new_session(msg.get("protocol"), msg.get("noise_A"))
+                session = self.new_session(msg.get("protocol"), msg.get("noise_A"), role, conn)
                 return {"type": "SESSION", "session": session.session_id}
             if mtype == "BATCH":
-                return _run_batch(self._session(msg), role, msg.get("ops"))
+                session = self._session(msg)
+                session.bind(role, conn)
+                return _run_batch(session, role, msg.get("ops"))
             raise FabricError(f"unknown message type {mtype!r}")
         except FabricError as exc:
             return {"type": "ERROR", "error": str(exc)}

@@ -11,10 +11,10 @@ Every payload is a computational basis state, so Bob's corrected readout
 equals the sent bit in both protocols and nothing per bit is drawn. The one
 random observable is the standard protocol's 4-bin (m1, m0) histogram,
 drawn per run from the closed-form outcome table on one PCG64 stream; it
-needs only the number of 1-bits sent. The image stays in pixels throughout:
-the received image is a copy of the sent pixels, and every count comes from
-`imaging.plane_cells`, which splits the bits into 96 cells (plane, sent bit,
-kept or flipped) and alone knows the canonical bit order. A sampled run
+needs only the number of 1-bits sent. The image stays in pixels, one copy
+of it: the loaded pixels are what is sent and what is written. Every count
+comes from `_image_cells`, which splits the bits into 96 cells (plane, sent
+bit, kept or flipped) with one `imaging.plane_ones` pass. A sampled run
 draws those cells' counts, never positions (`sample_bits`).
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .core import SQRT2_INV, PureQubit
-from .imaging import PLANE_NAMES, RasterImage, load_raster, plane_cells, write_raster
+from .imaging import PLANE_NAMES, RasterImage, load_raster, plane_ones, write_raster
 
 # Not called here: the benchmark's traced run (perfbench/worker.py) patches
 # these two by name on this module, so they stay importable from it.
@@ -189,6 +189,16 @@ def reports_equivalent(a: TeleportReport, b: TeleportReport) -> bool:
     return da == db
 
 
+def _image_cells(img: RasterImage) -> np.ndarray:
+    """Every bit of `img` in 96 cells, as a (24, 4) int64 array: row k is
+    plane PLANE_NAMES[k], columns (sent 0 kept, sent 0 flipped, sent 1 kept,
+    sent 1 flipped). Every sent bit arrives as sent, so the flipped columns
+    are 0; they stay because `sample_bits` draws over all 96 cells."""
+    ones = plane_ones(img.pixels)
+    zeros = np.zeros_like(ones)
+    return np.stack([img.width * img.height - ones, zeros, ones, zeros], axis=1)
+
+
 def _checked_cells(cells) -> np.ndarray:
     cells = np.asarray(cells)
     if cells.shape != (len(PLANE_NAMES), 4) or cells.dtype.kind not in "iu" or np.any(cells < 0):
@@ -197,7 +207,7 @@ def _checked_cells(cells) -> np.ndarray:
 
 
 def sample_bits(cells: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """The cells (`imaging.plane_cells`) of a uniform sample of n bits
+    """The cells (`_image_cells`) of a uniform sample of n bits
     without replacement: their counts follow the multivariate hypergeometric
     law over the cell sizes and are drawn from it on the stream
     `derive_seed(seed, "sample")`, with nothing sized by n or by the image.
@@ -216,7 +226,7 @@ def coincidence_count(
     cells: np.ndarray, histogram: dict[str, int] | None = None, classical_bits: int = 0
 ) -> CoincidenceReport:
     """Exact match counting with a per-plane breakdown, from the cells of
-    the scored bits: `imaging.plane_cells` for a whole image, `sample_bits`
+    the scored bits: `_image_cells` for a whole image, `sample_bits`
     for a sample. A plane's bits are its row's sum and its mismatches the
     flipped columns. Planes that received no bits report None and stay out
     of the aggregate denominator (which only ever counts scored bits).
@@ -288,8 +298,7 @@ def teleport_image(config: PipelineConfig) -> TeleportReport:
     stages["load"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    received = img.pixels.copy()  # every sent bit arrives as sent
-    cells = plane_cells(img.pixels, received)
+    cells = _image_cells(img)
     stages["teleport_kernel"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -304,7 +313,7 @@ def teleport_image(config: PipelineConfig) -> TeleportReport:
     t = time.perf_counter()
     if config.output_path:
         with open(config.output_path, "wb") as fh:
-            fh.write(write_raster(RasterImage(received)))
+            fh.write(write_raster(img))
     stages["reconstruct"] = time.perf_counter() - t
 
     t = time.perf_counter()

@@ -1,5 +1,6 @@
 """Networked demo tests: framing robustness, fabric locality, loopback
 sessions, classical-bit accounting, and wire/in-process equivalence."""
+import hashlib
 import json
 import random
 import socket
@@ -439,6 +440,36 @@ def test_read_rho_is_owner_checked_like_measure():
     assert transcript_audit(transcript)["violations"] == 4
 
 
+def test_roles_are_bound_per_session_not_declared():
+    """A second connection that says HELLO alice can neither drive nor read
+    another connection's live qubit, and the session draws nothing for it.
+    One connection holds one role per session."""
+    fabric = Fabric(master_seed=7)
+    alice, sid = _alice_session(fabric, "standard")
+    q_psi = _op(fabric, alice, sid, {"type": "ALLOC_QUBIT", "alpha_re": 0.6, "beta_re": 0.8})["q"]
+    pair = _op(fabric, alice, sid, {"type": "ALLOC_EPR"})
+    session = fabric.sessions[sid]
+    before = session.rng.getstate()
+    intruder = _hello(fabric, "alice")
+    transcript = []
+    for op in ({"type": "MEASURE", "qubit": q_psi}, {"type": "READ_RHO", "qubit": q_psi}):
+        reply = fabric.handle({"type": "BATCH", "session": sid, "ops": [op]}, intruder)
+        transcript.append({"link": "fabric", "dir": "recv", "msg": reply})
+        assert _is_locality_error(reply), reply
+    assert transcript_audit(transcript)["violations"] == 2
+    assert session.rng.getstate() == before and len(session.handles) == 3
+    # Alice cannot turn into Bob; the first Bob holds his role, a second cannot.
+    fabric.handle({"type": "HELLO", "role": "bob"}, alice)
+    read_bob = {"type": "READ_RHO", "qubit": pair["q_bob"]}
+    assert _is_locality_error(fabric.handle({"type": "BATCH", "session": sid, "ops": [read_bob]}, alice))
+    assert _op(fabric, _hello(fabric, "bob"), sid, read_bob)["type"] == "RHO"
+    second_bob = fabric.handle({"type": "BATCH", "session": sid, "ops": [read_bob]}, _hello(fabric, "bob"))
+    assert _is_locality_error(second_bob)
+    # The intruder holds Alice's role in a session of its own.
+    sid_2 = fabric.handle({"type": "NEW_SESSION", "protocol": "standard"}, intruder)["session"]
+    assert _op(fabric, intruder, sid_2, {"type": "ALLOC_EPR"})["type"] == "EPR"
+
+
 def test_simplified_ownership_gives_pair_to_alice_payload_to_bob():
     fabric = Fabric(master_seed=3)
     alice, sid = _alice_session(fabric, "simplified")
@@ -528,6 +559,29 @@ def test_wire_matches_in_process_bit_for_bit(fabric_server, protocol, noise_a):
     # Bob's bits alone cannot pin a simplified session's draws: the fabric
     # must have drawn exactly what the reference drew, in the same order.
     assert fabric_server.fabric.sessions[alice.session].rng.getstate() == session_rng.getstate()
+
+
+# SHA-256 of the transcripts in the test below; it moves only when the wire
+# protocol does: message types, fields, order or the fabric's draws.
+_WIRE_DIGEST = "61c723772dd228c206e446be8f0af60c90fe2cffaf75d4d14cc336a0e234900a"
+
+
+def test_wire_transcript_is_pinned():
+    """64 bits through a fresh fabric for each protocol and pair: Alice's
+    transcript, then Bob's, of every session hash to one digest."""
+    rng = random.Random(5)
+    bits = [rng.getrandbits(1) for _ in range(64)]
+    digest = hashlib.sha256()
+    for protocol in ("standard", "simplified"):
+        for noise_a in (None, 0.8):
+            server = FabricServer(master_seed=MASTER_SEED).start()
+            try:
+                alice, bob = run_session(server.address, protocol, bits, noise_a=noise_a)
+            finally:
+                server.shutdown()
+            for e in [*alice.transcript, *bob.transcript]:
+                digest.update(f"{e['link']}|{e['dir']}|".encode() + encode_body(e["msg"]) + b"\n")
+    assert digest.hexdigest() == _WIRE_DIGEST
 
 
 def test_sampled_fixture_bits_over_loopback_match_pipeline(fabric_server, image_16, ppm_16, tmp_path):

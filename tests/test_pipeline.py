@@ -16,9 +16,8 @@ from qteleport.core import GATE_H, StateVector, apply_1q, apply_cnot, tensor
 from qteleport.imaging import (
     RasterImage,
     bit_array,
-    image_from_bits,
     load_raster,
-    plane_cells,
+    plane_ones,
     write_raster,
 )
 from qteleport.pipeline import (
@@ -57,7 +56,7 @@ def make_config(ppm, tmp_path, **kw):
 
 
 def _cells_of(img):
-    return plane_cells(img.pixels, img.pixels)
+    return pipeline._image_cells(img)
 
 
 def _cells(sizes):
@@ -234,15 +233,10 @@ def test_coincidence_unsampled_planes_report_no_data():
 
 
 def test_coincidence_rejects_length_mismatch():
-    """Sent and received must be (h, w, 3) pixel arrays of one shape, and
-    the scorer takes only a (24, 4) cells array."""
-    sent = np.zeros((1, 100, 3), dtype=np.uint8)
+    """The plane counter takes only (h, w, 3) pixels, and the scorer only a
+    (24, 4) cells array."""
     with pytest.raises(ValueError):
-        plane_cells(sent, sent[:, :99])
-    with pytest.raises(ValueError):
-        plane_cells(sent, np.zeros((0, 0, 3), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        plane_cells(sent.reshape(100, 3), sent.reshape(100, 3))
+        plane_ones(np.zeros((100, 3), dtype=np.uint8))
     with pytest.raises(ValueError):
         coincidence_count(_r7_cells(kept0=1)[:23])
     with pytest.raises(ValueError):
@@ -280,18 +274,23 @@ def test_array_scorer_matches_hand_count_over_bit_stream(image_16):
     received_bits = sent_bits.copy()
     flips = rng.choice(sent_bits.size, size=37, replace=False)
     received_bits[flips] ^= 1
-    received = image_from_bits(received_bits, image_16.width, image_16.height).pixels
     hist = {"00": 1, "01": 2, "10": 3, "11": 4}
-
-    full = coincidence_count(plane_cells(image_16.pixels, received), hist, classical_bits=20)
-    assert full.to_dict() == _hand_count(stream, received_bits, hist, 20)
-
-    # A sample's cells, counted by hand from positions picked here.
-    picks = np.sort(rng.choice(sent_bits.size, size=500, replace=False))
     per_plane = image_16.width * image_16.height
-    cell = picks // per_plane * 4 + 2 * sent_bits[picks] + (sent_bits ^ received_bits)[picks]
-    cells = np.bincount(cell, minlength=96).reshape(24, 4)
-    sampled = coincidence_count(cells, hist, 20)
+
+    def cells_at(picks):
+        """The cells of the bits at `picks`, counted from their positions."""
+        cell = picks // per_plane * 4 + 2 * sent_bits[picks] + (sent_bits ^ received_bits)[picks]
+        return np.bincount(cell, minlength=96).reshape(24, 4)
+
+    everything = np.arange(sent_bits.size)
+    full = coincidence_count(cells_at(everything), hist, classical_bits=20)
+    assert full.to_dict() == _hand_count(stream, received_bits, hist, 20)
+    # The pipeline's own builder: the same layout, with nothing flipped.
+    kept = np.bincount(everything // per_plane * 4 + 2 * sent_bits, minlength=96)
+    assert np.array_equal(pipeline._image_cells(image_16), kept.reshape(24, 4))
+
+    picks = np.sort(rng.choice(sent_bits.size, size=500, replace=False))
+    sampled = coincidence_count(cells_at(picks), hist, 20)
     want = _hand_count([stream[i] for i in picks], received_bits[picks], hist, 20)
     assert sampled.to_dict() == want
 
@@ -385,7 +384,9 @@ _GUARD_BITS = _GUARD_W * _GUARD_H * 24
 )
 def test_run_memory_stays_below_bytes_per_bit(tmp_path, sample, bound):
     """A run's traced peak, in bytes per bit of the image: neither a
-    whole-image run nor a sampled one holds anything of one byte per bit."""
+    whole-image run nor a sampled one holds anything of one byte per bit.
+    Nor does it hold a second copy of the image: the peak is the loaded
+    pixels and the written PPM, to within a few small objects (16 KiB)."""
     import tracemalloc
 
     rng = np.random.default_rng(120)
@@ -401,6 +402,7 @@ def test_run_memory_stays_below_bytes_per_bit(tmp_path, sample, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * _GUARD_BITS, f"peak {peak / _GUARD_BITS:.2f} bytes per bit"
+    assert peak <= 2 * img.pixels.nbytes + 16 * 2**10, f"peak {peak / img.pixels.nbytes:.2f} images"
 
 
 def test_full_hd_sampled_run_peaks_no_higher_than_whole_run(tmp_path):
