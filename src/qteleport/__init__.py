@@ -1,7 +1,7 @@
 """Statevector simulation of quantum teleportation, superdense-coding
 interfaces, and a complete digital-image teleportation pipeline."""
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .core import (  # noqa: F401
     GATE_H,
@@ -19,6 +19,7 @@ from .core import (  # noqa: F401
     ket_from_bloch,
     make_cbs,
     measure_qubit,
+    project_qubit,
     reduced_density,
     reset_qubit,
     tensor,

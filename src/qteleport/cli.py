@@ -44,10 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=_sample_arg, default=None,
                    help="'all' or a bit count; sampling needs an image below 10**9 bits")
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted and echoed in the report; has no effect (nothing runs per bit)",
-    )
 
     p = sub.add_parser("bitplanes", help="dump the 24 bitplanes as PBM files")
     p.add_argument("--in", dest="input", required=True)
@@ -91,7 +87,6 @@ def _cmd_teleport_image(args) -> int:
         noise_a=args.noise_a,
         seed=args.seed,
         sample=args.sample,
-        threads=args.threads,
     )
     report = teleport_image(config)
     c = report.coincidence

@@ -4,6 +4,18 @@ Index convention: qubit 0 is the most significant index bit, so the basis
 ket |q0 q1 ... q_{n-1}> sits at index sum(q_k * 2**(n-1-k)). Every module
 in this package relies on that layout. States are values: operations return
 new states and never mutate their inputs.
+
+A state is checked once, where it enters the engine: the public
+constructors (`StateVector`, `DensityMatrix2`, `PureQubit`, `Gate1Q`) and
+`make_cbs` reject malformed input. Ops (`tensor`, `apply_1q`, `apply_cnot`,
+`project_qubit` and the measurements built on it, `reduced_density`)
+return their results unchecked, because they cannot make an invalid state
+out of valid ones: gates are checked unitary when built, CNOT permutes
+amplitudes, the Kronecker product of unit vectors is a unit vector, and a
+collapse renormalizes and refuses a zero-norm branch. Ops still check their
+qubit indices and `tensor` its qubit limit. `measure_qubit` guards against
+a corrupt norm, the one way a caller who mutates `.amps` in place can reach
+an op.
 """
 from __future__ import annotations
 
@@ -33,8 +45,8 @@ class StateVector:
 
     __slots__ = ("n", "amps")
 
-    def __init__(self, amps: Sequence[complex] | np.ndarray, copy: bool = True):
-        a = np.array(amps, dtype=complex, copy=copy).reshape(-1)
+    def __init__(self, amps: Sequence[complex] | np.ndarray):
+        a = np.array(amps, dtype=complex).reshape(-1)
         n = int(a.size).bit_length() - 1
         if n < 1 or a.size != (1 << n):
             raise ValueError(f"amplitude count {a.size} is not a power of two >= 2")
@@ -51,11 +63,16 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.amps, copy=True)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"StateVector(n={self.n}, amps={self.amps!r})"
+
+
+def _state(amps: np.ndarray, n: int) -> StateVector:
+    """An op's result over n qubits, taken as is (see the module docstring)."""
+    state = StateVector.__new__(StateVector)
+    state.n = n
+    state.amps = amps
+    return state
 
 
 @dataclass(frozen=True)
@@ -106,15 +123,14 @@ class DensityMatrix2:
 
     __slots__ = ("mat",)
 
-    def __init__(self, mat: np.ndarray, check: bool = True):
+    def __init__(self, mat: np.ndarray):
         m = np.array(mat, dtype=complex).reshape(2, 2)
-        if check:
-            if np.max(np.abs(m - m.conj().T)) > 1e-10:
-                raise ValueError("density matrix is not Hermitian")
-            if abs(np.trace(m).real - 1.0) > CORRUPT_NORM:
-                raise ValueError("density matrix trace is not 1")
-            if np.min(np.linalg.eigvalsh(m)) < -CORRUPT_NORM:
-                raise ValueError("density matrix has a negative eigenvalue")
+        if np.max(np.abs(m - m.conj().T)) > 1e-10:
+            raise ValueError("density matrix is not Hermitian")
+        if abs(np.trace(m).real - 1.0) > CORRUPT_NORM:
+            raise ValueError("density matrix trace is not 1")
+        if np.min(np.linalg.eigvalsh(m)) < -CORRUPT_NORM:
+            raise ValueError("density matrix has a negative eigenvalue")
         self.mat = m
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -140,7 +156,7 @@ def make_cbs(bits: Iterable[int]) -> StateVector:
         idx = (idx << 1) | b
     amps = np.zeros(1 << len(bits), dtype=complex)
     amps[idx] = 1.0
-    return StateVector(amps, copy=False)
+    return _state(amps, len(bits))
 
 
 def ket_from_bloch(theta: float, phi: float) -> PureQubit:
@@ -159,7 +175,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product a (x) b; a's qubits become the leading ones."""
     if a.n + b.n > MAX_QUBITS:
         raise ValueError(f"{a.n}+{b.n} qubits exceeds the {MAX_QUBITS}-qubit limit")
-    return StateVector(np.kron(a.amps, b.amps), copy=False)
+    return _state(np.kron(a.amps, b.amps), a.n + b.n)
 
 
 def apply_1q(state: StateVector, gate: Gate1Q, qubit: int) -> StateVector:
@@ -171,7 +187,7 @@ def apply_1q(state: StateVector, gate: Gate1Q, qubit: int) -> StateVector:
     a0, a1 = t[:, 0, :], t[:, 1, :]
     out[:, 0, :] = m[0, 0] * a0 + m[0, 1] * a1
     out[:, 1, :] = m[1, 0] * a0 + m[1, 1] * a1
-    return StateVector(out.reshape(-1), copy=False)
+    return _state(out.reshape(-1), state.n)
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
@@ -188,7 +204,23 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     i0[target], i1[target] = 0, 1
     lo, hi = t[tuple(i0)].copy(), t[tuple(i1)].copy()
     t[tuple(i0)], t[tuple(i1)] = hi, lo
-    return StateVector(t.reshape(-1), copy=False)
+    return _state(t.reshape(-1), n)
+
+
+def project_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
+    """Collapse one qubit onto the z-basis `outcome` and renormalize.
+    Raises on a branch of zero norm."""
+    _check_qubit(qubit, state.n)
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome {outcome!r} is not 0 or 1")
+    t = state.amps.reshape(1 << qubit, 2, -1).copy()
+    t[:, 1 - outcome, :] = 0.0
+    flat = t.reshape(-1)
+    nrm = np.linalg.norm(flat)
+    if nrm < CORRUPT_NORM:
+        raise ValueError(f"outcome {outcome} on qubit {qubit} has zero probability")
+    flat /= nrm
+    return _state(flat, state.n)
 
 
 def measure_qubit(state: StateVector, qubit: int, rng: RandomSource) -> tuple[int, StateVector]:
@@ -202,14 +234,9 @@ def measure_qubit(state: StateVector, qubit: int, rng: RandomSource) -> tuple[in
     nrm2 = float(np.sum(np.abs(amps) ** 2))
     if math.sqrt(nrm2) < CORRUPT_NORM:
         raise ValueError("state norm below 1e-9: corrupt input")
-    t = amps.reshape(1 << qubit, 2, -1)
-    p1 = float(np.sum(np.abs(t[:, 1, :]) ** 2)) / nrm2
+    p1 = float(np.sum(np.abs(amps.reshape(1 << qubit, 2, -1)[:, 1, :]) ** 2)) / nrm2
     outcome = 1 if rng.random() < p1 else 0
-    out = t.copy()
-    out[:, 1 - outcome, :] = 0.0
-    flat = out.reshape(-1)
-    flat /= np.linalg.norm(flat)
-    return outcome, StateVector(flat, copy=False)
+    return outcome, project_qubit(state, qubit, outcome)
 
 
 def reset_qubit(state: StateVector, qubit: int, rng: RandomSource) -> StateVector:
@@ -224,8 +251,9 @@ def reduced_density(state: StateVector, qubit: int) -> DensityMatrix2:
     """Partial trace onto one qubit."""
     _check_qubit(qubit, state.n)
     t = state.amps.reshape(1 << qubit, 2, -1)
-    rho = np.einsum("iaj,ibj->ab", t, t.conj())
-    return DensityMatrix2(rho, check=False)
+    rho = DensityMatrix2.__new__(DensityMatrix2)
+    rho.mat = np.einsum("iaj,ibj->ab", t, t.conj())
+    return rho
 
 
 def fidelity(target: PureQubit, rho: DensityMatrix2) -> float:

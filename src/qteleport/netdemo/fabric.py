@@ -3,7 +3,9 @@ enforces locality (a client may only drive qubits it owns).
 
 A role is bound per session, not taken on the client's word: the connection
 that creates a session, or first acts in it as a role, holds that role
-there, and no other connection may act as it in that session.
+there, and no other connection may act as it in that session. A session
+lives until the last connection bound to it leaves, by BYE, by disconnect
+or by sending nothing for IDLE_TIMEOUT seconds; then it is freed.
 
 The fabric holds no circuit. It allocates pairs and payload qubits, gives
 each the owner its session's protocol names in `OWNERS`, and runs the
@@ -46,6 +48,9 @@ from .framing import recv_msg, send_msg
 
 ENV_SEED = "QTELEPORT_SEED"
 MAX_LIVE_QUBITS = 3  # one bit's register
+# Seconds a connection may send nothing, even mid-frame, before it is
+# dropped; matches the clients' IO_TIMEOUT.
+IDLE_TIMEOUT = 60.0
 
 # Owners of what a session allocates: the pair halves (q_alice, q_bob), then
 # the payload. In the simplified protocol Alice holds both pair halves and
@@ -79,6 +84,7 @@ class Session:
         self.handles: list[int] = []  # live handles in axis order
         self.owner: dict[int, str] = {}  # retired handles keep their entry
         self.parties: dict[str, dict] = {}  # role -> the connection holding it
+        self.ended = False  # the last party left; nobody may bind again
         self._next_handle = 0
         self.lock = threading.Lock()
 
@@ -86,14 +92,25 @@ class Session:
         """Let `conn` act as `role` here, binding the role to it if no
         connection holds it yet. A connection holds one role per session."""
         with self.lock:
+            if self.ended:
+                raise FabricError(f"unknown session {self.session_id!r}")
             holder = self.parties.get(role)
             if holder is None and not any(c is conn for c in self.parties.values()):
                 self.parties[role] = holder = conn
+                conn.setdefault("sessions", []).append(self)
             if holder is not conn:
                 raise FabricError(
                     f"locality violation: this connection may not act as {role} "
                     f"in session {self.session_id}"
                 )
+
+    def unbind(self, conn: dict) -> bool:
+        """Release `conn`'s role here. Returns True when no party is left,
+        which ends the session."""
+        with self.lock:
+            self.parties = {r: c for r, c in self.parties.items() if c is not conn}
+            self.ended = not self.parties
+            return self.ended
 
     # -- register plumbing -------------------------------------------------
 
@@ -157,7 +174,7 @@ class Session:
             self.state = None
         else:
             t = collapsed.amps.reshape([2] * collapsed.n)
-            self.state = StateVector(np.take(t, bit, axis=axis).reshape(-1), copy=True)
+            self.state = StateVector(np.take(t, bit, axis=axis))
         self.handles.remove(handle)
         return bit
 
@@ -172,34 +189,19 @@ class Session:
 _REFERENCE = re.compile(r"\$(\d+)\.(\w+)")
 
 
-def _batch_op(op, replies: list[dict]) -> dict:
-    """Validate one batch op and resolve its `$k.field` references."""
-    if not isinstance(op, dict):
-        raise FabricError(f"batch op {op!r} is not an object")
-    if "session" in op:
-        raise FabricError("batch ops take their session from the BATCH")
-    if "qubit" in op:
-        op = dict(op, qubit=_resolve(op["qubit"], replies))
-    if isinstance(op.get("qubits"), list):
-        op = dict(op, qubits=[_resolve(q, replies) for q in op["qubits"]])
-    return op
-
-
-def _resolve(value, replies: list[dict]):
-    if not (isinstance(value, str) and value.startswith("$")):
-        return value
-    match = _REFERENCE.fullmatch(value)
-    if match is None:
-        raise FabricError(f"malformed reference {value!r}")
-    k, name = int(match[1]), match[2]
-    if k >= len(replies):
-        raise FabricError(f"reference {value!r} to an op that has not run")
-    if name not in replies[k]:
-        raise FabricError(f"reference {value!r}: reply {k} has no {name!r}")
-    return replies[k][name]
-
-
-def _as_handle(value) -> int:
+def _qubit_handle(value, replies: list[dict]) -> int:
+    """The qubit handle `value` names: an integer, or a `$k.field` reference
+    into the replies of the ops that ran before it."""
+    if isinstance(value, str) and value.startswith("$"):
+        match = _REFERENCE.fullmatch(value)
+        if match is None:
+            raise FabricError(f"malformed reference {value!r}")
+        k, name = int(match[1]), match[2]
+        if k >= len(replies):
+            raise FabricError(f"reference {value!r} to an op that has not run")
+        if name not in replies[k]:
+            raise FabricError(f"reference {value!r}: reply {k} has no {name!r}")
+        value = replies[k][name]
     if type(value) is not int:  # bool is an int subclass, and no handle
         raise FabricError(f"qubit handle {value!r} is not an integer")
     return value
@@ -224,15 +226,20 @@ def _run_batch(session: Session, role: str, ops) -> dict:
     with session.lock:
         for op in ops:
             try:
-                replies.append(_run(session, role, _batch_op(op, replies)))
+                replies.append(_run(session, role, op, replies))
             except FabricError as exc:
                 replies.append({"type": "ERROR", "error": f"op {len(replies)}: {exc}"})
                 break
     return {"type": "BATCH", "replies": replies}
 
 
-def _run(session: Session, role: str, msg: dict) -> dict:
-    """Dispatch one batch op; the caller holds `session.lock`."""
+def _run(session: Session, role: str, msg, replies: list[dict]) -> dict:
+    """Dispatch one batch op after the `replies` of the ops before it; the
+    caller holds `session.lock`."""
+    if not isinstance(msg, dict):
+        raise FabricError(f"batch op {msg!r} is not an object")
+    if "session" in msg:
+        raise FabricError("batch ops take their session from the BATCH")
     mtype = msg.get("type")
     if mtype == "ALLOC_EPR":
         return session.alloc_epr()
@@ -242,14 +249,16 @@ def _run(session: Session, role: str, msg: dict) -> dict:
         qubits = msg.get("qubits", [])
         if not isinstance(qubits, list):
             raise FabricError("APPLY qubits must be a list")
-        return session.apply_gate(role, msg.get("gate"), [_as_handle(q) for q in qubits])
+        handles = [_qubit_handle(q, replies) for q in qubits]
+        return session.apply_gate(role, msg.get("gate"), handles)
     if mtype == "MEASURE":
-        return {"type": "RESULT", "bit": session.measure(role, _as_handle(msg.get("qubit")))}
+        bit = session.measure(role, _qubit_handle(msg.get("qubit"), replies))
+        return {"type": "RESULT", "bit": bit}
     if mtype == "RESET":
-        session.measure(role, _as_handle(msg.get("qubit")))
+        session.measure(role, _qubit_handle(msg.get("qubit"), replies))
         return {"type": "OK"}
     if mtype == "READ_RHO":
-        return session.read_rho(role, _as_handle(msg.get("qubit")))
+        return session.read_rho(role, _qubit_handle(msg.get("qubit"), replies))
     raise FabricError(f"unknown op type {mtype!r}")
 
 
@@ -275,6 +284,14 @@ class Fabric:
             self._next_session += 1  # only once the session is valid
         return session
 
+    def leave(self, conn: dict) -> None:
+        """Unbind a departing connection and free every session it was the
+        last party of. Session ids are never reused, so neither are seeds."""
+        for session in conn.pop("sessions", ()):
+            if session.unbind(conn):
+                with self._lock:
+                    del self.sessions[session.session_id]
+
     def _session(self, msg: dict) -> Session:
         sid = msg.get("session")
         if type(sid) is not int:
@@ -297,6 +314,7 @@ class Fabric:
                 return {"type": "WELCOME"}
             if mtype == "BYE":
                 conn["done"] = True
+                self.leave(conn)
                 return {"type": "BYE"}
             role = conn.get("role")
             if role is None:
@@ -319,14 +337,18 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         conn: dict = {}
         fabric: Fabric = self.server.fabric  # type: ignore[attr-defined]
-        while not conn.get("done"):
-            try:
-                msg = recv_msg(self.request)
-            except Exception:
-                break
-            if msg is None:
-                break
-            send_msg(self.request, fabric.handle(msg, conn))
+        self.request.settimeout(IDLE_TIMEOUT)
+        try:
+            while not conn.get("done"):
+                try:
+                    msg = recv_msg(self.request)
+                except Exception:  # includes the idle timeout
+                    break
+                if msg is None:
+                    break
+                send_msg(self.request, fabric.handle(msg, conn))
+        finally:
+            fabric.leave(conn)
 
 
 class _Server(socketserver.ThreadingTCPServer):

@@ -21,8 +21,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     CORRUPT_NORM,
     GATE_H,
@@ -36,7 +34,9 @@ from .core import (
     apply_1q,
     apply_cnot,
     fidelity,
+    make_cbs,
     measure_qubit,
+    project_qubit,
     reduced_density,
     reset_qubit,
     tensor,
@@ -131,32 +131,11 @@ def _require_pair(epr: StateVector) -> None:
         raise ValueError(f"resource pair must be a 2-qubit state, got {epr.n} qubits")
 
 
-def _project_outcome(state: StateVector, qubit: int, value: int) -> StateVector:
-    """Force one measurement branch. Errors on a zero-norm branch."""
-    t = state.amps.reshape(1 << qubit, 2, -1).copy()
-    t[:, 1 - value, :] = 0.0
-    flat = t.reshape(-1)
-    nrm = np.linalg.norm(flat)
-    if nrm < CORRUPT_NORM:
-        raise ValueError(f"forced outcome {value} on qubit {qubit} has zero probability")
-    return StateVector(flat / nrm, copy=False)
-
-
-def standard_correction(bob, b1: int, b2: int, qubit: int = -1):
-    """Bob's conditional recovery: Z if b2, then X if b1.
-
-    Accepts either a full register (correction applied to `qubit`, default
-    the last one) or a bare PureQubit; returns the same kind.
-    """
+def standard_correction(bob: StateVector, b1: int, b2: int, qubit: int = -1) -> StateVector:
+    """Bob's conditional recovery on `qubit` (default the last one of the
+    register): Z if b2, then X if b1."""
     if b1 not in (0, 1) or b2 not in (0, 1):
         raise ValueError("disambiguation bits must be 0 or 1")
-    if isinstance(bob, PureQubit):
-        alpha, beta = bob.alpha, bob.beta
-        if b2:
-            beta = -beta
-        if b1:
-            alpha, beta = beta, alpha
-        return PureQubit(alpha, beta)
     q = qubit % bob.n
     out = bob
     if b2:
@@ -175,8 +154,7 @@ def _standard_circuit(psi, epr, rng, forced_outcome=None):
     psi2 = apply_1q(psi1, GATE_H, 0)
     if forced_outcome is not None:
         b1, b2 = forced_outcome
-        post = _project_outcome(psi2, 0, b2)
-        post = _project_outcome(post, 1, b1)
+        post = project_qubit(project_qubit(psi2, 0, b2), 1, b1)
     else:
         if rng is None:
             raise ValueError("either rng or forced_outcome is required")
@@ -292,10 +270,8 @@ def teleport_bit(bit: int, protocol: str, epr: StateVector, rng: RandomSource) -
     command-for-command: it consumes exactly three rng draws (two Alice
     measurements, or two resets, plus the readout).
     """
-    if bit not in (0, 1):
-        raise ValueError(f"bit value {bit!r} is not 0 or 1")
+    psi = make_cbs([bit])
     _require_pair(epr)
-    psi = StateVector([1.0 - bit, bit])
     if protocol == "standard":
         states, disambiguation = _standard_circuit(psi, epr, rng)
     elif protocol == "simplified":

@@ -101,7 +101,7 @@ def _drop_ancilla(pair_reg: StateVector) -> StateVector:
     t = pair_reg.amps.reshape(2, 2)
     if np.max(np.abs(t[:, 1])) > CBS_TOL:
         raise ValueError("ancilla qubit is not |0>")
-    return StateVector(t[:, 0].copy(), copy=False)
+    return StateVector(t[:, 0])
 
 
 def sdc_roundtrip(pair: BitPair) -> BitPair:

@@ -16,6 +16,7 @@ from qteleport.core import (
     GATE_I,
     GATE_X,
     GATE_Z,
+    GATES,
     DensityMatrix2,
     PureQubit,
     StateVector,
@@ -26,6 +27,7 @@ from qteleport.core import (
     ket_from_bloch,
     make_cbs,
     measure_qubit,
+    project_qubit,
     reduced_density,
     reset_qubit,
     tensor,
@@ -342,6 +344,58 @@ def test_norm_preserved_by_random_circuits(seed, n, moves):
         else:
             state = apply_1q(state, gates[name], q)
     assert abs(state.norm() - 1.0) < 1e-12
+
+
+_OPS = st.tuples(
+    st.sampled_from(["gate", "cnot", "tensor", "measure", "reset", "project"]),
+    st.integers(0, 4),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), moves=st.lists(_OPS, max_size=12))
+def test_op_results_pass_the_public_check(seed, n, moves):
+    """Ops return their results without re-checking them, so every result
+    must be a state the public constructor accepts."""
+    rng = np.random.default_rng(seed)
+    draws = random.Random(seed)
+    gates = list(GATES.values())
+    state = random_state(rng, n)
+    for op, q, k in moves:
+        q %= state.n
+        if op == "gate":
+            state = apply_1q(state, gates[k], q)
+        elif op == "cnot" and state.n > 1:
+            state = apply_cnot(state, q, (q + 1 + k % (state.n - 1)) % state.n)
+        elif op == "tensor" and state.n < 5:
+            other = random_state(rng, 1 + k % (5 - state.n))
+            state = tensor(state, other) if k % 2 else tensor(other, state)
+        elif op == "measure":
+            _, state = measure_qubit(state, q, draws)
+        elif op == "reset":
+            state = reset_qubit(state, q, draws)
+        elif op == "project":
+            p1 = float(np.sum(np.abs(state.amps.reshape(1 << q, 2, -1)[:, 1, :]) ** 2))
+            outcome = k % 2 if min(p1, 1.0 - p1) > 1e-9 else int(p1 > 0.5)
+            state = project_qubit(state, q, outcome)
+        amps = state.amps
+        assert amps.shape == (1 << state.n,) and 1 <= state.n <= 5
+        assert np.all(np.isfinite(amps.view(np.float64)))
+        assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
+        StateVector(amps)
+
+
+def test_project_qubit_collapses_and_renormalizes():
+    phi_plus = StateVector([S, 0, 0, S])
+    assert np.allclose(project_qubit(phi_plus, 0, 1).amps, ket(2, {3: 1}), atol=1e-15)
+    assert np.allclose(project_qubit(phi_plus, 1, 0).amps, ket(2, {0: 1}), atol=1e-15)
+    with pytest.raises(ValueError):
+        project_qubit(make_cbs([0, 1]), 1, 0)  # zero-norm branch
+    with pytest.raises(ValueError):
+        project_qubit(phi_plus, 0, 2)
+    with pytest.raises(ValueError):
+        project_qubit(phi_plus, 2, 0)
 
 
 # --------------------------------------------------- conventions and dump

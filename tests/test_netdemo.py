@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qteleport.core import PureQubit
+from qteleport.core import PureQubit, StateVector
 from qteleport.netdemo import (
     FabricServer,
     FrameDecoder,
@@ -23,8 +23,9 @@ from qteleport.netdemo import (
 )
 from qteleport.netdemo import clients
 from qteleport.netdemo.clients import SessionAborted, TranscriptEntry, _alice_ops, _Link
+from qteleport.netdemo import fabric as fabric_module
 from qteleport.netdemo.fabric import Fabric
-from qteleport.netdemo.framing import FramingError, encode_body, recv_msg
+from qteleport.netdemo.framing import FramingError, encode_body, recv_msg, send_msg
 from qteleport.protocols import balanced_epr, teleport_bit
 from qteleport.seeding import derive_seed
 
@@ -487,6 +488,61 @@ def test_simplified_ownership_gives_pair_to_alice_payload_to_bob():
     assert _op(fabric, alice, sid, ops[-1]) == {"type": "OK"}
 
 
+def test_sessions_are_freed_when_their_last_party_leaves():
+    fabric = Fabric(master_seed=6)
+    alice, sid = _alice_session(fabric, "standard")
+    bob = _hello(fabric, "bob")
+    q = _op(fabric, alice, sid, {"type": "ALLOC_EPR"})["q_bob"]
+    assert _op(fabric, bob, sid, {"type": "READ_RHO", "qubit": q})["type"] == "RHO"
+    assert fabric.handle({"type": "BYE"}, alice) == {"type": "BYE"}
+    assert list(fabric.sessions) == [sid]  # bob is still bound
+    fabric.leave(bob)  # a disconnect
+    assert fabric.sessions == {}
+    err = fabric.handle({"type": "BATCH", "session": sid, "ops": [{"type": "ALLOC_EPR"}]}, bob)
+    assert err["type"] == "ERROR" and "unknown session" in err["error"]
+    # Ids are never reused, so a later session gets a fresh seed.
+    assert _alice_session(fabric, "standard")[1] == sid + 1
+
+
+def test_ten_thousand_sessions_leave_nothing_behind():
+    import tracemalloc
+
+    fabric = Fabric(master_seed=6)
+
+    def cycles(count):
+        for _ in range(count):
+            conn, _ = _alice_session(fabric, "simplified")
+            fabric.handle({"type": "BYE"}, conn)
+
+    cycles(10)  # lazy imports and caches are not the fabric's memory
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cycles(10_000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(fabric.sessions) == 0
+    assert grown < 64 * 1024
+
+
+def test_stalled_connection_is_dropped_and_its_session_freed(monkeypatch):
+    monkeypatch.setattr(fabric_module, "IDLE_TIMEOUT", 0.2)
+    server = FabricServer(master_seed=MASTER_SEED).start()
+    try:
+        with socket.create_connection(server.address, timeout=2.0) as sock:
+            send_msg(sock, {"type": "HELLO", "role": "alice"})
+            assert recv_msg(sock) == {"type": "WELCOME"}
+            send_msg(sock, {"type": "NEW_SESSION", "protocol": "standard"})
+            sid = recv_msg(sock)["session"]
+            assert list(server.fabric.sessions) == [sid]
+            sock.sendall(encode_frame({"type": "BYE"})[:2])  # half a header, then silence
+            assert sock.recv(1) == b""  # closed, within the 2 s client timeout
+        assert server.fabric.sessions == {}
+    finally:
+        server.shutdown()
+
+
 def test_hello_required_before_commands():
     fabric = Fabric(master_seed=1)
     err = fabric.handle({"type": "NEW_SESSION", "protocol": "standard"}, {})
@@ -534,11 +590,62 @@ def test_simplified_sends_zero_classical_messages(fabric_server):
 
 
 @pytest.mark.parametrize("protocol", ["standard", "simplified"])
+def test_states_are_checked_only_where_they_enter(monkeypatch, protocol):
+    """The public constructor checks a state once, where it enters the
+    engine; ops return their results unchecked. `teleport_bit` builds no
+    checked state, and a fabric bit checks only its wire payload and the
+    two registers left after dropping a collapsed qubit's axis."""
+    rng = random.Random(11)
+    bits = [rng.getrandbits(1) for _ in range(40)]
+    pair = balanced_epr()
+    fabric = Fabric(master_seed=11)
+    alice, sid = _alice_session(fabric, protocol)
+    bob = _hello(fabric, "bob")
+    checked = []
+    real_init = StateVector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        checked.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StateVector, "__init__", counting_init)
+    for bit in bits:
+        teleport_bit(bit, protocol, pair, rng)
+    assert len(checked) == 0
+
+    def batch(conn, ops):
+        return fabric.handle({"type": "BATCH", "session": sid, "ops": ops}, conn)["replies"]
+
+    for bit in bits:
+        replies = batch(alice, _alice_ops(protocol, bit))
+        if protocol == "standard":
+            q, m0, m1 = replies[1]["q_bob"], replies[4]["bit"], replies[5]["bit"]
+            ops = [{"type": "APPLY", "gate": g, "qubits": [q]} for g, m in (("Z", m0), ("X", m1)) if m]
+        else:
+            q, ops = replies[1]["q"], []
+        ops.append({"type": "MEASURE", "qubit": q})
+        assert batch(bob, ops)[-1] == {"type": "RESULT", "bit": bit}
+    assert len(checked) <= 3 * len(bits)
+
+
+@pytest.mark.parametrize("protocol", ["standard", "simplified"])
 @pytest.mark.parametrize("noise_a", [None, 0.8])
-def test_wire_matches_in_process_bit_for_bit(fabric_server, protocol, noise_a):
+def test_wire_matches_in_process_bit_for_bit(monkeypatch, fabric_server, protocol, noise_a):
+    fabric = fabric_server.fabric
+    created = []
+    real_new_session = fabric.new_session
+
+    def recording_new_session(*args):
+        created.append(real_new_session(*args))
+        return created[-1]
+
+    monkeypatch.setattr(fabric, "new_session", recording_new_session)
     rng = random.Random(4242)
     bits = [rng.randint(0, 1) for _ in range(60)]
     alice, bob = run_session(fabric_server.address, protocol, bits, noise_a=noise_a)
+    [session] = created
+    assert session.session_id == alice.session
+    assert alice.session not in fabric.sessions  # both parties said BYE
     session_rng = random.Random(derive_seed(MASTER_SEED, "session", alice.session))
     if noise_a is None:
         pair = balanced_epr()
@@ -558,7 +665,7 @@ def test_wire_matches_in_process_bit_for_bit(fabric_server, protocol, noise_a):
     assert len(sent_classical) == (len(bits) if protocol == "standard" else 0)
     # Bob's bits alone cannot pin a simplified session's draws: the fabric
     # must have drawn exactly what the reference drew, in the same order.
-    assert fabric_server.fabric.sessions[alice.session].rng.getstate() == session_rng.getstate()
+    assert session.rng.getstate() == session_rng.getstate()
 
 
 # SHA-256 of the transcripts in the test below; it moves only when the wire
