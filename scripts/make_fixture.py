@@ -18,7 +18,7 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     img = RasterImage(rng.integers(0, 256, size=(args.height, args.width, 3), dtype=np.uint8))
     with open(args.out, "wb") as fh:
-        fh.write(write_raster(img))
+        write_raster(img, fh)
     print(f"wrote {args.width}x{args.height} fixture to {args.out}")
 
 

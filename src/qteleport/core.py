@@ -84,7 +84,7 @@ class PureQubit:
 
     def __post_init__(self):
         s = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(s - 1.0) > CORRUPT_NORM:
+        if not abs(s - 1.0) <= CORRUPT_NORM:  # NaN fails this test
             raise ValueError(f"|alpha|^2 + |beta|^2 = {s}, expected 1")
 
     def as_state(self) -> StateVector:
@@ -106,6 +106,8 @@ class Gate1Q:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("gate matrix must be 2x2")
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"gate {self.name} has a non-finite entry")
         if np.max(np.abs(m @ m.conj().T - np.eye(2))) > NORM_TOL:
             raise ValueError(f"gate {self.name} is not unitary")
         object.__setattr__(self, "matrix", m)
@@ -125,6 +127,8 @@ class DensityMatrix2:
 
     def __init__(self, mat: np.ndarray):
         m = np.array(mat, dtype=complex).reshape(2, 2)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix has a non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > CORRUPT_NORM:

@@ -7,6 +7,7 @@ is: channel R,G,B outermost, then plane 7 down to 0, then row-major pixels.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -17,6 +18,13 @@ PLANES_PER_CHANNEL = 8
 BITS_PER_PIXEL = 24
 # The planes in canonical order, "R7" .. "B0": row k of `plane_ones`.
 PLANE_NAMES = tuple(f"{c}{p}" for c in CHANNEL_NAMES for p in range(7, -1, -1))
+# Bytes of working buffer a counter holds, whatever the image: `count_ones`
+# counts _BLOCK words at a time, `plane_ones` splits _BLOCK // 2 pixels into
+# two _BLOCK // 2-byte buffers. Small enough to stay in cache, large enough
+# that the per-block Python steps cost little.
+_BLOCK = 1 << 18
+# The PPM reader's first read; a header longer than this is read on.
+_HEAD_READ = 256
 
 
 @dataclass
@@ -77,39 +85,43 @@ class PnmError(ValueError):
     """Malformed or unsupported PNM payload."""
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
+def _next_token(data: bytes, pos: int) -> tuple[bytes | None, int]:
+    """The header token at or after `pos`, past whitespace and comments, and
+    the position of the whitespace byte that ends it; None when `data` ends
+    before that byte."""
     n = len(data)
     while pos < n:
         c = data[pos : pos + 1]
         if c == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
+            pos = data.find(b"\n", pos)
+            if pos < 0:
+                return None, n
         elif c.isspace():
             pos += 1
         else:
             break
-    if pos >= n:
-        raise PnmError("truncated header")
     start = pos
     while pos < n and not data[pos : pos + 1].isspace():
         pos += 1
+    if pos >= n:
+        return None, n
     return data[start:pos], pos
 
 
-def load_raster(source) -> RasterImage:
-    """Parse a binary PPM (P6) image. Header comments are skipped."""
-    if isinstance(source, (bytes, bytearray)):
-        data = source
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-
+def _parse_header(data: bytes) -> tuple[int, int, int] | None:
+    """(width, height, payload offset) of the P6 header that starts `data`,
+    or None when `data` ends inside it. A malformed header raises PnmError
+    as soon as the bad field is read."""
     magic, pos = _next_token(data, 0)
+    if magic is None:
+        return None
     if magic != b"P6":
         raise PnmError(f"unsupported format {magic!r}, expected P6")
     fields = []
     for _ in range(3):
         tok, pos = _next_token(data, pos)
+        if tok is None:
+            return None
         if not tok.isdigit():
             raise PnmError(f"non-numeric header field {tok!r}")
         fields.append(int(tok))
@@ -118,19 +130,48 @@ def load_raster(source) -> RasterImage:
         raise PnmError(f"bad dimensions {width}x{height}")
     if maxval != 255:
         raise PnmError(f"maxval {maxval} unsupported, expected 255")
-    pos += 1  # single whitespace byte after maxval
-    size = width * height * 3
-    if len(data) - pos < size:
-        raise PnmError("truncated pixel payload")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)  # no payload slice
-    return RasterImage(pixels.reshape(height, width, 3).copy())
+    return width, height, pos + 1  # single whitespace byte after maxval
 
 
-def write_raster(img: RasterImage) -> bytes:
-    """Emit canonical binary PPM bytes (no comments)."""
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    # The join is the one copy of the pixels; `header + tobytes()` makes two.
-    return b"".join((header, memoryview(np.ascontiguousarray(img.pixels))))
+def load_raster(source) -> RasterImage:
+    """Parse a binary PPM (P6) image from bytes or a path. Header comments
+    are skipped. The payload is read straight into the pixel array: a short
+    first read for the header (read on while a comment runs past it), then
+    the rest in place, so nothing else holds a copy of it. The source's
+    length is checked against the header's size before the array exists."""
+    if isinstance(source, (bytes, bytearray)):
+        fh = io.BytesIO(source)
+    else:
+        fh = open(source, "rb", buffering=0)
+    with fh:
+        head = fh.read(_HEAD_READ)
+        while (header := _parse_header(head)) is None:
+            more = fh.read(max(len(head), _HEAD_READ))
+            if not more:
+                raise PnmError("truncated header")
+            head += more
+        width, height, pos = header
+        size = width * height * 3
+        if fh.seek(0, io.SEEK_END) - pos < size:
+            raise PnmError("truncated pixel payload")
+        fh.seek(len(head))
+        pixels = np.empty((height, width, 3), dtype=np.uint8)
+        flat = memoryview(pixels).cast("B")
+        filled = min(len(head) - pos, size)
+        flat[:filled] = head[pos : pos + size]
+        while filled < size:  # a file that shrinks while it is read
+            got = fh.readinto(flat[filled:])
+            if not got:
+                raise PnmError("truncated pixel payload")
+            filled += got
+    return RasterImage(pixels)
+
+
+def write_raster(img: RasterImage, fh) -> None:
+    """Write canonical binary PPM (no comments) to the binary file object
+    `fh`: the header, then the pixel buffer itself, with no copy of it."""
+    fh.write(f"P6\n{img.width} {img.height}\n255\n".encode("ascii"))
+    fh.write(memoryview(np.ascontiguousarray(img.pixels)).cast("B"))
 
 
 def slice_bitplanes(img: RasterImage, channel: int) -> list[Bitplane]:
@@ -207,19 +248,48 @@ def image_from_bits(bits: np.ndarray, width: int, height: int) -> RasterImage:
     return RasterImage(channels.transpose(1, 2, 0).copy())
 
 
+def count_ones(pixels: np.ndarray) -> int:
+    """The 1-bits of every byte of the uint8 `pixels`, in total: one
+    unmasked popcount (`np.bitwise_count`) over the buffer viewed as 64-bit
+    words, _BLOCK words at a time into one reused count buffer, plus the
+    size % 8 bytes past the last word. It reads each byte once; use
+    `plane_ones` when the per-plane split is needed."""
+    if pixels.dtype != np.uint8:
+        raise ValueError(f"expected uint8 samples, got {pixels.dtype}")
+    flat = np.ascontiguousarray(pixels).reshape(-1)
+    body = flat.size - flat.size % 8
+    words = flat[:body].view(np.uint64)
+    total = int(np.bitwise_count(flat[body:]).sum())
+    counts = np.empty(min(_BLOCK, words.size), dtype=np.uint8)
+    for start in range(0, words.size, _BLOCK):
+        block = words[start : start + _BLOCK]
+        out = counts[: block.size]
+        np.bitwise_count(block, out=out)
+        total += int(out.sum())
+    return total
+
+
 def plane_ones(pixels: np.ndarray) -> np.ndarray:
     """The 1-bits of each plane of the (h, w, 3) `pixels`, rows in
-    PLANE_NAMES order. Each plane masks one bit of a contiguous copy of one
-    channel into one reused buffer: nothing holds a byte per bit."""
+    PLANE_NAMES order. It works over blocks of at most _BLOCK // 2 pixels:
+    one channel of a block is copied into one reused buffer, and each of
+    its eight planes is masked into another and counted, so it holds
+    neither a byte per bit nor a copy of the image. A whole image's
+    total alone is `count_ones`, which is faster."""
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ValueError(f"expected (h, w, 3) pixels, got shape {pixels.shape}")
-    ones = np.empty(BITS_PER_PIXEL, dtype=np.int64)
-    masked = np.empty(pixels.shape[:2], dtype=np.uint8)
-    for channel in range(3):
-        samples = np.ascontiguousarray(pixels[:, :, channel])
-        for pos in range(PLANES_PER_CHANNEL):  # plane 7..0
-            np.bitwise_and(samples, 0x80 >> pos, out=masked)
-            ones[channel * PLANES_PER_CHANNEL + pos] = np.count_nonzero(masked)
+    flat = pixels.reshape(-1, 3)
+    ones = np.zeros(BITS_PER_PIXEL, dtype=np.int64)
+    samples = np.empty(min(_BLOCK // 2, flat.shape[0]), dtype=np.uint8)
+    masked = np.empty_like(samples)
+    for start in range(0, flat.shape[0], samples.size or 1):
+        block = flat[start : start + samples.size]
+        chan, mask = samples[: block.shape[0]], masked[: block.shape[0]]
+        for channel in range(3):
+            np.copyto(chan, block[:, channel])
+            for pos in range(PLANES_PER_CHANNEL):  # plane 7..0
+                np.bitwise_and(chan, 0x80 >> pos, out=mask)
+                ones[channel * PLANES_PER_CHANNEL + pos] += np.count_nonzero(mask)
     return ones
 
 

@@ -12,10 +12,12 @@ equals the sent bit in both protocols and nothing per bit is drawn. The one
 random observable is the standard protocol's 4-bin (m1, m0) histogram,
 drawn per run from the closed-form outcome table on one PCG64 stream; it
 needs only the number of 1-bits sent. The image stays in pixels, one copy
-of it: the loaded pixels are what is sent and what is written. Every count
-comes from `_image_cells`, which splits the bits into 96 cells (plane, sent
-bit, kept or flipped) with one `imaging.plane_ones` pass. A sampled run
-draws those cells' counts, never positions (`sample_bits`).
+of it: the file is read into them, and they are what is sent and what is
+written. A whole run counts its 1-bits with one popcount
+(`imaging.count_ones`), since every plane is scored whole and nothing
+flips. A sampled run splits the bits into 96 cells (plane, sent bit, kept
+or flipped) with one `imaging.plane_ones` pass (`_image_cells`) and draws
+the sample's counts in those cells, never positions (`sample_bits`).
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .core import SQRT2_INV, PureQubit
-from .imaging import PLANE_NAMES, RasterImage, load_raster, plane_ones, write_raster
+from .imaging import PLANE_NAMES, RasterImage, count_ones, load_raster, plane_ones, write_raster
 
 # Not called here: the benchmark's traced run (perfbench/worker.py) patches
 # these two by name on this module, so they stay importable from it.
@@ -199,11 +201,12 @@ def _image_cells(img: RasterImage) -> np.ndarray:
     return np.stack([img.width * img.height - ones, zeros, ones, zeros], axis=1)
 
 
-def _checked_cells(cells) -> np.ndarray:
-    cells = np.asarray(cells)
-    if cells.shape != (len(PLANE_NAMES), 4) or cells.dtype.kind not in "iu" or np.any(cells < 0):
-        raise ValueError("cells must be a non-negative (24, 4) integer array")
-    return cells
+def _checked_counts(counts, columns: int) -> np.ndarray:
+    counts = np.asarray(counts)
+    shape = (len(PLANE_NAMES), columns)
+    if counts.shape != shape or counts.dtype.kind not in "iu" or np.any(counts < 0):
+        raise ValueError(f"expected a non-negative {shape} integer array")
+    return counts
 
 
 def sample_bits(cells: np.ndarray, n: int, seed: int) -> np.ndarray:
@@ -212,7 +215,7 @@ def sample_bits(cells: np.ndarray, n: int, seed: int) -> np.ndarray:
     law over the cell sizes and are drawn from it on the stream
     `derive_seed(seed, "sample")`, with nothing sized by n or by the image.
     numpy's "marginals" method limits the image to fewer than 10**9 bits."""
-    cells = _checked_cells(cells)
+    cells = _checked_counts(cells, 4)
     total = int(cells.sum())
     if total >= 10**9:
         raise ValueError(f"cannot sample 10**9 bits or more (about 41.6M pixels), got {total}")
@@ -223,17 +226,17 @@ def sample_bits(cells: np.ndarray, n: int, seed: int) -> np.ndarray:
 
 
 def coincidence_count(
-    cells: np.ndarray, histogram: dict[str, int] | None = None, classical_bits: int = 0
+    planes: np.ndarray, histogram: dict[str, int] | None = None, classical_bits: int = 0
 ) -> CoincidenceReport:
-    """Exact match counting with a per-plane breakdown, from the cells of
-    the scored bits: `_image_cells` for a whole image, `sample_bits`
-    for a sample. A plane's bits are its row's sum and its mismatches the
-    flipped columns. Planes that received no bits report None and stay out
-    of the aggregate denominator (which only ever counts scored bits).
+    """Exact match counting with a per-plane breakdown, from the scored
+    bits' (24, 2) per-plane (kept, flipped) counts: every plane whole and
+    nothing flipped for a whole image, `sample_bits`' cells summed over the
+    sent bit for a sample. Planes that received no bits report None and stay
+    out of the aggregate denominator (which only ever counts scored bits).
     """
-    cells = _checked_cells(cells)
-    plane_total = cells.sum(axis=1)
-    flipped = cells[:, 1::2].sum(axis=1)
+    planes = _checked_counts(planes, 2)
+    plane_total = planes.sum(axis=1)
+    flipped = planes[:, 1]
     per_plane: dict[str, float | None] = {
         name: int(tot - bad) / int(tot) if tot else None
         for name, bad, tot in zip(PLANE_NAMES, flipped, plane_total)
@@ -287,6 +290,30 @@ def _teleport_bits(
     return histogram, classical, padded // 2
 
 
+def _scored_bits(
+    img: RasterImage, config: PipelineConfig, stages: dict[str, float]
+) -> tuple[np.ndarray, int]:
+    """The scored bits' (24, 2) per-plane (kept, flipped) counts and how
+    many of them are 1-bits. A whole run scores every plane whole, so it
+    needs only the total of 1-bits (`count_ones`); a sampled run needs the
+    per-plane split of the cells it draws from (`_image_cells`). Times the
+    count as "teleport_kernel" and the draw as "decompose"."""
+    t = time.perf_counter()
+    if config.sample is None:
+        n1 = count_ones(img.pixels)
+        stages["teleport_kernel"] = time.perf_counter() - t
+        stages["decompose"] = 0.0
+        return np.tile([img.width * img.height, 0], (len(PLANE_NAMES), 1)), n1
+    cells = _image_cells(img)
+    stages["teleport_kernel"] = time.perf_counter() - t
+
+    t = time.perf_counter()
+    cells = sample_bits(cells, config.sample, config.seed)
+    stages["decompose"] = time.perf_counter() - t
+    kept_flipped = cells.reshape(len(PLANE_NAMES), 2, 2).sum(axis=1)  # summed over the sent bit
+    return kept_flipped, int(cells[:, 2:].sum())
+
+
 def teleport_image(config: PipelineConfig) -> TeleportReport:
     """Run the full pipeline and write the output image and report."""
     config.validate()
@@ -297,27 +324,19 @@ def teleport_image(config: PipelineConfig) -> TeleportReport:
     img = load_raster(config.input_path)
     stages["load"] = time.perf_counter() - t
 
-    t = time.perf_counter()
-    cells = _image_cells(img)
-    stages["teleport_kernel"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    if config.sample is not None:
-        cells = sample_bits(cells, config.sample, config.seed)
-    stages["decompose"] = time.perf_counter() - t
-
-    n = int(cells.sum())
-    histogram, classical, pairs = _teleport_bits(n, int(cells[:, 2:].sum()), config, stages)
+    planes, n1 = _scored_bits(img, config, stages)
+    n = int(planes.sum())
+    histogram, classical, pairs = _teleport_bits(n, n1, config, stages)
     stages["teleport"] = stages["teleport_kernel"] + stages["teleport_draw"]
 
     t = time.perf_counter()
     if config.output_path:
         with open(config.output_path, "wb") as fh:
-            fh.write(write_raster(img))
+            write_raster(img, fh)
     stages["reconstruct"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    coincidence = coincidence_count(cells, histogram, classical)
+    coincidence = coincidence_count(planes, histogram, classical)
     stages["score"] = time.perf_counter() - t
 
     wall = time.perf_counter() - t_start

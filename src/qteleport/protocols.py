@@ -74,7 +74,7 @@ class NoisyEprParams:
 
     def __post_init__(self):
         s = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(s - 1.0) > CORRUPT_NORM:
+        if not abs(s - 1.0) <= CORRUPT_NORM:  # NaN fails this test
             raise ValueError(f"|A|^2 + |B|^2 = {s}, expected 1")
 
     @classmethod

@@ -22,12 +22,14 @@ def image_64() -> RasterImage:
 @pytest.fixture()
 def ppm_16(tmp_path, image_16):
     path = tmp_path / "fixture_16.ppm"
-    path.write_bytes(write_raster(image_16))
+    with open(path, "wb") as fh:
+        write_raster(image_16, fh)
     return path
 
 
 @pytest.fixture()
 def ppm_64(tmp_path, image_64):
     path = tmp_path / "fixture_64.ppm"
-    path.write_bytes(write_raster(image_64))
+    with open(path, "wb") as fh:
+        write_raster(image_64, fh)
     return path

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 Tolerances are pinned here and nowhere else; expected values come from the
 closed-form oracle and hand ket expansions, not from the code under test.
 """
+import io
 import json
 import math
 import random
@@ -176,8 +177,10 @@ def test_criterion_7_bitplane_codec(image_16):
             ok = ok and np.array_equal(
                 assemble_bitplanes(slice_bitplanes(img, c)), img.pixels[:, :, c]
             )
-    blob = write_raster(image_16)
-    ok = ok and write_raster(load_raster(blob)) == blob
+    blob, again = io.BytesIO(), io.BytesIO()
+    write_raster(image_16, blob)
+    write_raster(load_raster(blob.getvalue()), again)
+    ok = ok and again.getvalue() == blob.getvalue()
     verdict(7, "bitplane codec (exhaustive + property + PPM round trip)", ok)
 
 

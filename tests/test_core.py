@@ -18,6 +18,7 @@ from qteleport.core import (
     GATE_Z,
     GATES,
     DensityMatrix2,
+    Gate1Q,
     PureQubit,
     StateVector,
     apply_1q,
@@ -32,6 +33,7 @@ from qteleport.core import (
     reset_qubit,
     tensor,
 )
+from qteleport.protocols import NoisyEprParams
 
 S = 1 / math.sqrt(2)
 
@@ -435,6 +437,24 @@ def test_dump_golden_balanced_pair():
 def test_statevector_rejects_nonfinite():
     with pytest.raises(ValueError):
         StateVector([float("nan"), 0.0])
+
+
+_ENTRY_POINTS = {
+    "PureQubit": lambda x: PureQubit(x, 0.0),
+    "NoisyEprParams": lambda x: NoisyEprParams(x, 0.0),
+    "DensityMatrix2": lambda x: DensityMatrix2([[x, 0], [0, 0]]),
+    "Gate1Q": lambda x: Gate1Q("N", [[x, 0], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), complex(0, float("nan")), float("inf")],
+                         ids=["nan", "imag-nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_entry_points_reject_nonfinite(entry, value):
+    """A comparison with NaN is False, so a check written as `error > tol`
+    lets NaN through; every public constructor must refuse it."""
+    with pytest.raises(ValueError):
+        _ENTRY_POINTS[entry](value)
 
 
 def test_statevector_rejects_unnormalized_amplitudes():

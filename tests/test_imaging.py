@@ -1,9 +1,12 @@
 """Codec tests: PPM/PBM round trips, bitplane algebra, canonical bit order."""
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qteleport import imaging
 from qteleport.imaging import (
     BitAddress,
     Bitplane,
@@ -13,6 +16,7 @@ from qteleport.imaging import (
     assemble_bitplanes,
     bit_array,
     bit_stream,
+    count_ones,
     image_from_bits,
     load_raster,
     plane_ones,
@@ -29,6 +33,12 @@ FIXTURE_2X2 = bytes(
 
 def fixture_image() -> RasterImage:
     return RasterImage(np.frombuffer(FIXTURE_2X2, dtype=np.uint8).reshape(2, 2, 3).copy())
+
+
+def ppm_bytes(img: RasterImage) -> bytes:
+    buf = io.BytesIO()
+    write_raster(img, buf)
+    return buf.getvalue()
 
 
 # ------------------------------------------------------------------- PPM
@@ -51,7 +61,7 @@ def test_load_skips_header_comments():
     img = load_raster(data)
     assert img.pixels.reshape(-1).tolist() == list(FIXTURE_2X2)
     # comments are normalized away on re-emission
-    assert write_raster(img) == b"P6\n2 2\n255\n" + FIXTURE_2X2
+    assert ppm_bytes(img) == b"P6\n2 2\n255\n" + FIXTURE_2X2
 
 
 def test_load_rejects_p5():
@@ -70,40 +80,82 @@ def test_load_rejects_truncated_payload():
 
 
 def test_ppm_round_trip_bytes_identical(image_16):
-    blob = write_raster(image_16)
-    assert write_raster(load_raster(blob)) == blob
+    blob = ppm_bytes(image_16)
+    assert ppm_bytes(load_raster(blob)) == blob
 
 
-def test_load_from_path(tmp_path):
+def test_load_from_path(tmp_path, image_16):
     path = tmp_path / "img.ppm"
     path.write_bytes(b"P6\n2 2\n255\n" + FIXTURE_2X2)
     assert load_raster(path).pixels.reshape(-1).tolist() == list(FIXTURE_2X2)
+    blob = ppm_bytes(image_16)
+    path.write_bytes(blob)
+    loaded = load_raster(path)
+    assert np.array_equal(loaded.pixels, load_raster(blob).pixels)
+    assert loaded.pixels.flags.writeable and loaded.pixels.flags.owndata
+
+
+def test_load_from_path_reads_any_header_length(tmp_path):
+    """A comment longer than the reader's first read (10 KiB here) still
+    loads, from a path as from bytes."""
+    comment = b"# " + b"x" * (10 * 2**10) + b"\n"
+    data = b"P6\n" + comment + b"2 2\n" + comment + b"255\n" + FIXTURE_2X2
+    path = tmp_path / "long_header.ppm"
+    path.write_bytes(data)
+    loaded = load_raster(path)
+    assert loaded.pixels.reshape(-1).tolist() == list(FIXTURE_2X2)
+    assert np.array_equal(loaded.pixels, load_raster(data).pixels)
+    assert loaded.pixels.flags.writeable and loaded.pixels.flags.owndata
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P6\n2 2\n255\n" + FIXTURE_2X2[:-1], "truncated pixel payload"),
+        (b"P6\n2 2\n255\n", "truncated pixel payload"),
+        (b"P6\n2 2\n255", "truncated header"),
+        (b"P6\n2 2\n# no end", "truncated header"),
+        # Checked against the source's length before any array is sized.
+        (b"P6\n1000000 1000000\n255\n" + bytes(8), "truncated pixel payload"),
+    ],
+    ids=["payload-short", "payload-missing", "maxval-unended", "comment-unended", "huge-claim"],
+)
+def test_load_from_path_rejects_truncated_files(tmp_path, data, message):
+    path = tmp_path / "short.ppm"
+    path.write_bytes(data)
+    with pytest.raises(PnmError, match=message):
+        load_raster(path)
+    with pytest.raises(PnmError, match=message):
+        load_raster(data)
 
 
 def test_ppm_io_copies_the_pixels_once(tmp_path):
-    """Reading holds the file's bytes and the pixel array, with no payload
-    slice between them; writing copies the pixels into its output once. A
-    trailing byte after the payload is ignored, and a bytearray loads too."""
+    """Reading a file holds the pixel array and a short header read, never
+    the file's bytes; writing to a file copies no pixels at all. A trailing
+    byte after the payload is ignored, and a bytearray loads too."""
     import tracemalloc
 
     img = _every_byte_image(width=160, height=120)
     size = img.pixels.size
-    blob = write_raster(img)
+    blob = ppm_bytes(img)
     path = tmp_path / "big.ppm"
     path.write_bytes(blob + b"\n")
+    out = tmp_path / "out.ppm"
     tracemalloc.start()
     try:
         loaded = load_raster(path)
         read_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        written = write_raster(loaded)
+        with open(out, "wb") as fh:
+            write_raster(loaded, fh)
         write_peak = tracemalloc.get_traced_memory()[1] - loaded.pixels.nbytes
     finally:
         tracemalloc.stop()
-    assert written == blob
+    assert out.read_bytes() == blob
     assert loaded.pixels.flags.writeable and loaded.pixels.flags.owndata
-    assert read_peak < 2.25 * size, (read_peak, size)
-    assert write_peak < 1.25 * size, (write_peak, size)
+    # The file objects, their buffers and the header are the few KiB left.
+    assert read_peak < size + 16 * 2**10, (read_peak, size)
+    assert write_peak < 16 * 2**10, (write_peak, size)
     assert np.array_equal(load_raster(bytearray(blob)).pixels, img.pixels)
 
 
@@ -285,13 +337,39 @@ def _random_images(draw):
     return RasterImage(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
 
 
+def _odd_image(min_bytes: int) -> RasterImage:
+    """A random image of an odd pixel count holding at least `min_bytes`
+    bytes, so 3 * w * h % 8 != 0."""
+    width = 1201
+    height = min_bytes // (3 * width) + 1
+    height += 1 - height % 2
+    rng = np.random.default_rng(min_bytes)
+    return RasterImage(rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8))
+
+
+# More than two blocks of both counters, the last one ragged: count_ones
+# takes 8 * _BLOCK bytes a block and plane_ones _BLOCK // 2 pixels.
+_SEVERAL_BLOCKS = _odd_image(2 * 8 * imaging._BLOCK + 8 * 1000)
+
+
 @settings(max_examples=80, deadline=None)
 @given(img=_random_images())
+@example(img=RasterImage(np.full((1, 1, 3), 255, dtype=np.uint8)))
+@example(img=_odd_image(8 * imaging._BLOCK - 100))  # just under one count_ones block
+@example(img=_SEVERAL_BLOCKS)
+@example(img=RasterImage(_SEVERAL_BLOCKS.pixels[::-1, ::2]))  # not contiguous
 def test_plane_ones_matches_bit_array(img):
+    """Both counters agree with the byte-per-bit reference: `plane_ones`
+    per plane, `count_ones` in total, over one block, several with a ragged
+    last one, and tail bytes past the last 8-byte word."""
     per_plane = img.width * img.height
+    bits = bit_array(img)
     ones = plane_ones(img.pixels)
     assert ones.dtype == np.int64
-    assert ones.tolist() == bit_array(img).reshape(24, per_plane).sum(axis=1).tolist()
+    assert ones.tolist() == bits.reshape(24, per_plane).sum(axis=1).tolist()
+    total = count_ones(img.pixels)
+    assert type(total) is int
+    assert total == int(ones.sum()) == int(bits.sum(dtype=np.int64))
 
 
 def test_raster_image_validates_shape_and_dtype():

@@ -206,27 +206,26 @@ def test_sample_bits_refuses_images_of_a_billion_bits():
 # ----------------------------------------------------------------- scoring
 
 
-def _r7_cells(kept0=0, flipped0=0, kept1=0, flipped1=0):
-    """Cells with bits only in plane R7 (row 0)."""
-    cells = np.zeros((24, 4), dtype=np.int64)
-    cells[0] = kept0, flipped0, kept1, flipped1
-    return cells
+def _r7_planes(kept=0, flipped=0):
+    """Per-plane (kept, flipped) counts with bits only in plane R7 (row 0)."""
+    planes = np.zeros((24, 2), dtype=np.int64)
+    planes[0] = kept, flipped
+    return planes
 
 
 def test_coincidence_identical_streams():
-    rep = coincidence_count(_r7_cells(kept0=50, kept1=50))
+    rep = coincidence_count(_r7_planes(kept=100))
     assert rep.coincidence == 1.0 and rep.matched == 100
 
 
 def test_coincidence_single_flip():
-    rep = coincidence_count(_r7_cells(kept0=99, flipped0=1))
+    rep = coincidence_count(_r7_planes(kept=99, flipped=1))
     assert rep.coincidence == pytest.approx(0.99)
     assert rep.per_plane["R7"] == pytest.approx(0.99)
-    assert coincidence_count(_r7_cells(kept1=99, flipped1=1)).to_dict() == rep.to_dict()
 
 
 def test_coincidence_unsampled_planes_report_no_data():
-    rep = coincidence_count(_r7_cells(kept1=10))
+    rep = coincidence_count(_r7_planes(kept=10))
     assert rep.per_plane["R7"] == 1.0
     assert rep.per_plane["G3"] is None
     assert rep.total_bits == 10
@@ -234,13 +233,17 @@ def test_coincidence_unsampled_planes_report_no_data():
 
 def test_coincidence_rejects_length_mismatch():
     """The plane counter takes only (h, w, 3) pixels, and the scorer only a
-    (24, 4) cells array."""
+    (24, 2) per-plane array: not a sampler's (24, 4) cells either."""
     with pytest.raises(ValueError):
         plane_ones(np.zeros((100, 3), dtype=np.uint8))
     with pytest.raises(ValueError):
-        coincidence_count(_r7_cells(kept0=1)[:23])
+        coincidence_count(_r7_planes(kept=1)[:23])
     with pytest.raises(ValueError):
-        coincidence_count(_r7_cells(kept0=1).reshape(-1))
+        coincidence_count(_r7_planes(kept=1).reshape(-1))
+    with pytest.raises(ValueError):
+        coincidence_count(_cells({0: 1}))
+    with pytest.raises(ValueError):
+        coincidence_count(_r7_planes(kept=1, flipped=-1))
 
 
 def _hand_count(stream, received_bits, hist, classical_bits):
@@ -277,20 +280,21 @@ def test_array_scorer_matches_hand_count_over_bit_stream(image_16):
     hist = {"00": 1, "01": 2, "10": 3, "11": 4}
     per_plane = image_16.width * image_16.height
 
-    def cells_at(picks):
-        """The cells of the bits at `picks`, counted from their positions."""
-        cell = picks // per_plane * 4 + 2 * sent_bits[picks] + (sent_bits ^ received_bits)[picks]
-        return np.bincount(cell, minlength=96).reshape(24, 4)
+    def planes_at(picks):
+        """Per-plane (kept, flipped) counts of the bits at `picks`, counted
+        from their positions."""
+        cell = picks // per_plane * 2 + (sent_bits ^ received_bits)[picks]
+        return np.bincount(cell, minlength=48).reshape(24, 2)
 
     everything = np.arange(sent_bits.size)
-    full = coincidence_count(cells_at(everything), hist, classical_bits=20)
+    full = coincidence_count(planes_at(everything), hist, classical_bits=20)
     assert full.to_dict() == _hand_count(stream, received_bits, hist, 20)
-    # The pipeline's own builder: the same layout, with nothing flipped.
+    # The sampler's cells: planes by sent bit and kept or flipped, nothing flipped.
     kept = np.bincount(everything // per_plane * 4 + 2 * sent_bits, minlength=96)
     assert np.array_equal(pipeline._image_cells(image_16), kept.reshape(24, 4))
 
     picks = np.sort(rng.choice(sent_bits.size, size=500, replace=False))
-    sampled = coincidence_count(cells_at(picks), hist, 20)
+    sampled = coincidence_count(planes_at(picks), hist, 20)
     want = _hand_count([stream[i] for i in picks], received_bits[picks], hist, 20)
     assert sampled.to_dict() == want
 
@@ -386,13 +390,15 @@ def test_run_memory_stays_below_bytes_per_bit(tmp_path, sample, bound):
     """A run's traced peak, in bytes per bit of the image: neither a
     whole-image run nor a sampled one holds anything of one byte per bit.
     Nor does it hold a second copy of the image: the peak is the loaded
-    pixels and the written PPM, to within a few small objects (16 KiB)."""
+    pixels and a counter's working buffers, which are never larger than
+    the image, to within a few small objects (16 KiB)."""
     import tracemalloc
 
     rng = np.random.default_rng(120)
     img = RasterImage(rng.integers(0, 256, size=(_GUARD_H, _GUARD_W, 3), dtype=np.uint8))
     ppm = tmp_path / "guard.ppm"
-    ppm.write_bytes(write_raster(img))
+    with open(ppm, "wb") as fh:
+        write_raster(img, fh)
     config = make_config(ppm, tmp_path, sample=sample)
     teleport_image(config)  # lazy imports are not the run's memory
     tracemalloc.start()
@@ -415,7 +421,8 @@ def test_full_hd_sampled_run_peaks_no_higher_than_whole_run(tmp_path):
     rng = np.random.default_rng(1080)
     img = RasterImage(rng.integers(0, 256, size=(1080, 1920, 3), dtype=np.uint8))
     ppm = tmp_path / "full_hd.ppm"
-    ppm.write_bytes(write_raster(img))
+    with open(ppm, "wb") as fh:
+        write_raster(img, fh)
     peaks = {}
     for sample in (None, 1_000_000):
         config = make_config(ppm, tmp_path, protocol="simplified", sample=sample)
@@ -427,6 +434,32 @@ def test_full_hd_sampled_run_peaks_no_higher_than_whole_run(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1_000_000] <= peaks[None] + 16 * 2**10, peaks
+
+
+def test_full_hd_runs_hold_one_image_and_a_working_block(tmp_path):
+    """At full HD neither a whole run nor a 1M-bit sampled run allocates
+    anything sized by the image but the loaded pixels: the file's bytes are
+    read into them and the output is written from them. Each counter's
+    working buffers take at most 256 KiB; the bound leaves 256 KiB more for
+    small objects."""
+    import tracemalloc
+
+    rng = np.random.default_rng(1081)
+    img = RasterImage(rng.integers(0, 256, size=(1080, 1920, 3), dtype=np.uint8))
+    ppm = tmp_path / "full_hd.ppm"
+    with open(ppm, "wb") as fh:
+        write_raster(img, fh)
+    for protocol, sample in (("standard", None), ("simplified", None), ("simplified", 1_000_000)):
+        config = make_config(ppm, tmp_path, protocol=protocol, sample=sample)
+        teleport_image(config)  # lazy imports are not the run's memory
+        tracemalloc.start()
+        try:
+            teleport_image(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        over = peak - img.pixels.nbytes
+        assert over <= 512 * 2**10, f"{protocol} sample={sample}: {over / 2**10:.0f} KiB over the image"
 
 
 def test_worker_count_does_not_change_results(ppm_64, tmp_path):
@@ -639,6 +672,8 @@ def test_odd_sample_pads_unscored_ancilla(ppm_16, tmp_path):
     assert report.bits_teleported == 7
     assert report.pairs_processed == 4
     assert report.coincidence.total_bits == 7
+    scored = [v for v in report.coincidence.per_plane.values() if v is not None]
+    assert 1 <= len(scored) <= 7 and set(scored) == {1.0}
     # the padded ancilla still costs a teleport on the wire
     assert report.coincidence.classical_bits_total == 2 * 8
 
