@@ -1,23 +1,43 @@
 #!/usr/bin/env python3
 """Three-process loopback demo: fabric broker, Bob, then Alice, all spawned
-through the installed CLI. Prints the transcript audit for both sides."""
+through the installed CLI. The fabric and Bob listen on ports the system
+picks, and each is used only after it prints its listening line. Prints
+the transcript audit for both sides, and stops both servers on the way out,
+whether or not Alice succeeded."""
 import argparse
 import json
 import os
-import re
-import socket
 import subprocess
 import sys
 import tempfile
-import time
 
 from qteleport.netdemo import transcript_audit
 
+CLI = [sys.executable, "-m", "qteleport.cli"]
 
-def free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
+
+def start(who: str, argv: list[str], env: dict | None = None) -> tuple[subprocess.Popen, str]:
+    """Start a CLI server and wait for its `<who> listening on HOST:PORT`
+    line. Returns the process and its `HOST:PORT`."""
+    proc = subprocess.Popen(CLI + argv, env=env, stdout=subprocess.PIPE, text=True)
+    line = proc.stdout.readline()
+    prefix = f"{who} listening on "
+    if not line.startswith(prefix):
+        stop(proc)
+        raise RuntimeError(f"{who} did not start: {line!r}")
+    return proc, line[len(prefix):].strip()
+
+
+def stop(proc: subprocess.Popen) -> None:
+    """Terminate a child, if it still runs, and wait until it has ended."""
+    if proc.poll() is None:
+        proc.terminate()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+    proc.stdout.close()
 
 
 def main() -> None:
@@ -27,7 +47,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=2025)
     args = parser.parse_args()
 
-    fabric_port, bob_port = free_port(), free_port()
     workdir = tempfile.mkdtemp(prefix="qteleport_demo_")
     bits_file = os.path.join(workdir, "bits.txt")
     with open(bits_file, "w") as fh:
@@ -36,24 +55,15 @@ def main() -> None:
     bob_t = os.path.join(workdir, "bob.json")
 
     env = dict(os.environ, QTELEPORT_SEED=str(args.seed))
-    cli = [sys.executable, "-m", "qteleport.cli"]
-    fabric = subprocess.Popen(
-        cli + ["serve-fabric", "--bind", f"127.0.0.1:{fabric_port}"],
-        env=env, stdout=subprocess.PIPE, text=True,
-    )
+    servers = []
     try:
-        line = fabric.stdout.readline()
-        assert re.search(r"listening", line), line
-        bob = subprocess.Popen(
-            cli + ["bob", "--listen", f"127.0.0.1:{bob_port}",
-                   "--fabric", f"127.0.0.1:{fabric_port}",
-                   "--protocol", args.protocol, "--transcript", bob_t],
-            stdout=subprocess.PIPE, text=True,
-        )
-        time.sleep(0.3)  # let bob bind
+        fabric, fabric_addr = start("fabric", ["serve-fabric", "--bind", "127.0.0.1:0"], env)
+        servers.append(fabric)
+        bob, bob_addr = start("bob", ["bob", "--listen", "127.0.0.1:0", "--fabric", fabric_addr,
+                                      "--protocol", args.protocol, "--transcript", bob_t])
+        servers.append(bob)
         subprocess.run(
-            cli + ["alice", "--fabric", f"127.0.0.1:{fabric_port}",
-                   "--bob", f"127.0.0.1:{bob_port}",
+            CLI + ["alice", "--fabric", fabric_addr, "--bob", bob_addr,
                    "--protocol", args.protocol, "--bits-from", bits_file,
                    "--transcript", alice_t],
             check=True,
@@ -66,8 +76,8 @@ def main() -> None:
             print(f"{side} audit: {transcript_audit(entries)}")
         print(f"transcripts in {workdir}")
     finally:
-        fabric.terminate()
-        fabric.wait(timeout=10)
+        for proc in reversed(servers):
+            stop(proc)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Statevector simulation of quantum teleportation, superdense-coding
 interfaces, and a complete digital-image teleportation pipeline."""
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .core import (  # noqa: F401
     GATE_H,

@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcript", help="JSON transcript path")
 
     p = sub.add_parser("bob", help="receive bits from an alice")
-    p.add_argument("--listen", required=True)
+    p.add_argument("--listen", required=True, help="HOST:PORT; port 0 picks a free one")
     p.add_argument("--fabric", required=True)
     p.add_argument("--protocol", choices=("standard", "simplified"), required=True)
     p.add_argument("--transcript", help="JSON transcript path")
@@ -177,9 +177,15 @@ def _cmd_alice(args) -> int:
 
 
 def _cmd_bob(args) -> int:
+    import socket
+
     from .netdemo.clients import run_bob
 
-    result = run_bob(args.listen, args.fabric, args.protocol)
+    host, _, port = args.listen.rpartition(":")
+    with socket.create_server((host or "127.0.0.1", int(port))) as listener:
+        bound_host, bound_port = listener.getsockname()[:2]
+        print(f"bob listening on {bound_host}:{bound_port}", flush=True)
+        result = run_bob(listener, args.fabric, args.protocol)
     _write_transcript(args.transcript, result)
     print("bob received:", "".join(str(b) for b in result.bits))
     return 0

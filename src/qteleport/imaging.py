@@ -21,7 +21,8 @@ PLANE_NAMES = tuple(f"{c}{p}" for c in CHANNEL_NAMES for p in range(7, -1, -1))
 # Bytes of working buffer a counter holds, whatever the image: `count_ones`
 # counts _BLOCK words at a time, `plane_ones` splits _BLOCK // 2 pixels into
 # two _BLOCK // 2-byte buffers. Small enough to stay in cache, large enough
-# that the per-block Python steps cost little.
+# that the per-block Python steps cost little. The PPM reader reads a pipe
+# _BLOCK bytes at a time.
 _BLOCK = 1 << 18
 # The PPM reader's first read; a header longer than this is read on.
 _HEAD_READ = 256
@@ -138,7 +139,9 @@ def load_raster(source) -> RasterImage:
     are skipped. The payload is read straight into the pixel array: a short
     first read for the header (read on while a comment runs past it), then
     the rest in place, so nothing else holds a copy of it. The source's
-    length is checked against the header's size before the array exists."""
+    length is checked against the header's size before the array exists; a
+    source that cannot seek (a pipe) is read to that size first, and its
+    bytes become the pixels."""
     if isinstance(source, (bytes, bytearray)):
         fh = io.BytesIO(source)
     else:
@@ -152,6 +155,13 @@ def load_raster(source) -> RasterImage:
             head += more
         width, height, pos = header
         size = width * height * 3
+        if not fh.seekable():  # a pipe shows its length only by being read
+            payload = bytearray(head[pos : pos + size])
+            while len(payload) < size and (more := fh.read(min(size - len(payload), _BLOCK))):
+                payload += more
+            if len(payload) < size:
+                raise PnmError("truncated pixel payload")
+            return RasterImage(np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3))
         if fh.seek(0, io.SEEK_END) - pos < size:
             raise PnmError("truncated pixel payload")
         fh.seek(len(head))

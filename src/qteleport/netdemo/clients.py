@@ -15,8 +15,8 @@ batch keeps the command order of `protocols.teleport_bit`, and Bob's
 follows it, so a fabric seeded like an in-process run reproduces its bits
 draw for draw.
 
-Transcripts hold `TranscriptEntry` records, which keep each message as its
-encoded JSON body, plus plain-dict `event` entries for aborts.
+Transcripts hold `TranscriptEntry` records, which keep each message as the
+JSON body that crossed the wire, plus plain-dict `event` entries for aborts.
 """
 from __future__ import annotations
 
@@ -24,7 +24,11 @@ import socket
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .framing import decode_body, encode_body, recv_msg, send_msg
+from .framing import decode_body, recv_body, send_msg
+
+# Not called here: the benchmark's traced session (perfbench/netsession.py)
+# patches this by name on this module, so it stays importable from it.
+from .framing import recv_msg  # noqa: F401
 
 IO_TIMEOUT = 60.0
 
@@ -106,14 +110,15 @@ class _Link:
 
     def recv(self) -> dict:
         try:
-            msg = recv_msg(self.sock)
+            body = recv_body(self.sock)
         except OSError as exc:
             self.transcript.append({"event": "aborted", "link": self.name, "reason": str(exc)})
             raise SessionAborted(f"{self.name} link lost: {exc}", self.transcript) from exc
-        if msg is None:
+        if body is None:
             self.transcript.append({"event": "aborted", "link": self.name, "reason": "closed"})
             raise SessionAborted(f"{self.name} link closed early", self.transcript)
-        self.transcript.append(TranscriptEntry(self.name, "recv", encode_body(msg)))
+        msg = decode_body(body)
+        self.transcript.append(TranscriptEntry(self.name, "recv", body))
         return msg
 
     def request(self, msg: dict) -> dict:
@@ -209,25 +214,13 @@ def run_alice(fabric_addr, bob_addr, protocol: str, bits, noise_a: float | None 
         peer.close()
 
 
-def run_bob(listen, fabric_addr, protocol: str) -> ClientResult:
-    """Receive one session of teleported bits.
-
-    `listen` is a `host:port` string or an already-bound listening socket
-    (handy for ephemeral ports in tests).
-    """
+def run_bob(listener: socket.socket, fabric_addr, protocol: str) -> ClientResult:
+    """Receive one session of teleported bits from the first Alice to
+    connect to `listener`, a listening socket that stays open: the caller
+    binds it, so it knows the port before Bob runs, and closes it."""
     transcript: list = []
-    if isinstance(listen, socket.socket):
-        server = listen
-        own_server = False
-    else:
-        server = socket.create_server(_parse_addr(listen))
-        own_server = True
-    server.settimeout(IO_TIMEOUT)
-    try:
-        conn, _ = server.accept()
-    finally:
-        if own_server:
-            server.close()
+    listener.settimeout(IO_TIMEOUT)
+    conn, _ = listener.accept()
     peer = _Link(conn, "peer", transcript)
     fabric = _Link(socket.create_connection(_parse_addr(fabric_addr)), "fabric", transcript)
     try:

@@ -58,8 +58,9 @@ def _recv_exact(sock, n: int) -> bytes | None:
     return buf
 
 
-def recv_msg(sock) -> dict | None:
-    """Read one framed message; None on orderly EOF at a frame boundary."""
+def recv_body(sock) -> bytes | None:
+    """Read one frame's body, undecoded; None on orderly EOF at a frame
+    boundary."""
     header = _recv_exact(sock, 4)
     if header is None:
         return None
@@ -69,7 +70,13 @@ def recv_msg(sock) -> dict | None:
     body = _recv_exact(sock, length)
     if body is None:
         raise FramingError("connection closed mid-frame")
-    return decode_body(body)
+    return body
+
+
+def recv_msg(sock) -> dict | None:
+    """Read one framed message; None on orderly EOF at a frame boundary."""
+    body = recv_body(sock)
+    return None if body is None else decode_body(body)
 
 
 class FrameDecoder:

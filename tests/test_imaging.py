@@ -1,5 +1,8 @@
 """Codec tests: PPM/PBM round trips, bitplane algebra, canonical bit order."""
+import contextlib
 import io
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -127,6 +130,49 @@ def test_load_from_path_rejects_truncated_files(tmp_path, data, message):
         load_raster(path)
     with pytest.raises(PnmError, match=message):
         load_raster(data)
+    with _pipe_path(data) as pipe, pytest.raises(PnmError, match=message):
+        load_raster(pipe)
+
+
+@contextlib.contextmanager
+def _pipe_path(data: bytes):
+    """A `/dev/fd/N` path to the read end of a pipe that a thread fills with
+    `data` and then closes, as `cat file |` would."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        try:
+            with open(write_fd, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        writer.join(10)
+    assert not writer.is_alive()
+
+
+def test_load_from_a_pipe(image_16):
+    """A pipe cannot seek, so its length shows only as it is read: a
+    payload larger than the pipe's buffer and the reader's block, after a
+    header longer than the first read, loads whole, and a trailing byte is
+    ignored."""
+    img = _every_byte_image(width=400, height=300)
+    comment = b"# " + b"x" * (10 * 2**10) + b"\n"
+    data = ppm_bytes(img).replace(b"P6\n", b"P6\n" + comment, 1) + b"\n"
+    with _pipe_path(data) as pipe:
+        loaded = load_raster(pipe)
+    assert np.array_equal(loaded.pixels, img.pixels)
+    assert loaded.pixels.flags.writeable
+    with _pipe_path(ppm_bytes(image_16)) as pipe:
+        assert np.array_equal(load_raster(pipe).pixels, image_16.pixels)
 
 
 def test_ppm_io_copies_the_pixels_once(tmp_path):

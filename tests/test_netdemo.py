@@ -2,9 +2,13 @@
 sessions, classical-bit accounting, and wire/in-process equivalence."""
 import hashlib
 import json
+import os
 import random
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -861,3 +865,68 @@ def test_cli_netdemo_over_loopback(fabric_server, tmp_path, capsys):
     entries = json.loads(alice_transcript.read_text())["entries"]
     assert transcript_audit(entries)["classical_bits"] == 16
     capsys.readouterr()
+
+
+def test_link_records_the_body_that_arrived():
+    """A received message is recorded as the bytes on the wire, not as a
+    re-encoding of the decoded message."""
+    a, b = socket.socketpair()
+    try:
+        body = b'{ "type": "ACK",  "index": 0 }'
+        a.sendall(struct.pack(">I", len(body)) + body)
+        transcript = []
+        assert _Link(b, "peer", transcript).recv() == {"type": "ACK", "index": 0}
+        assert repr(transcript[0]) == repr(TranscriptEntry("peer", "recv", body))
+    finally:
+        a.close()
+        b.close()
+
+
+def _run_netdemo_script(tmp_path, *args):
+    """Run scripts/run_netdemo.py in a process group of its own, with its
+    temporary files under tmp_path. Returns (returncode, stdout, stderr,
+    whether any process of the group outlived the script)."""
+    import qteleport
+
+    src = os.path.dirname(os.path.dirname(qteleport.__file__))
+    script = os.path.join(os.path.dirname(src), "scripts", "run_netdemo.py")
+    env = {**os.environ, "PYTHONPATH": src, "TMPDIR": str(tmp_path)}
+    proc = subprocess.Popen(
+        [sys.executable, script, *args], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    finally:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            outlived = False
+        else:
+            outlived = True
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    return proc.returncode, out, err, outlived
+
+
+@pytest.mark.parametrize("protocol, classical", [("standard", 20), ("simplified", 0)])
+def test_run_netdemo_script(tmp_path, protocol, classical):
+    """The three-process demo over its default 10 bits: both audits count 2
+    classical bits per qubit for standard and 0 for simplified, and neither
+    server outlives the script."""
+    rc, out, err, outlived = _run_netdemo_script(tmp_path, "--protocol", protocol)
+    assert rc == 0, err
+    assert not outlived
+    assert "bob received: 1011001110" in out
+    for side in ("alice", "bob"):
+        assert f"{side} audit: {{'classical_bits': {classical}, " in out
+        assert "'violations': 0}" in out
+
+
+def test_run_netdemo_script_stops_bob_when_alice_fails(tmp_path):
+    """Alice refuses a bit file with no 0/1 in it; the script still stops
+    the Bob that waits for her, instead of leaving him in accept()."""
+    rc, out, err, outlived = _run_netdemo_script(tmp_path, "--bits", "xyz")
+    assert rc != 0
+    assert "no 0/1 characters" in err
+    assert not outlived

@@ -1,5 +1,6 @@
 """Pipeline tests: sampling, scoring, full-image runs, determinism, CLI."""
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -774,8 +775,83 @@ def test_report_json_round_trip(ppm_16, tmp_path):
     assert loaded.rng == "pcg64"
     assert json.loads((tmp_path / "report.json").read_text())["rng"] == "pcg64"
     assert not reports_equivalent(loaded, dataclasses.replace(loaded, rng="mt19937"))
+    assert loaded.config == report.config  # the comparison edits copies only
     assert "executor" not in loaded.config
     assert loaded.engine_version
+
+
+@pytest.mark.parametrize(
+    "protocol, sample, digest",
+    [
+        ("standard", None, "acce230bbef9db353b639e4383d319488ad780c99c5d9de639a4888af9cf6593"),
+        ("standard", 101, "f4eb7522aedd98fd86f4fa71cc8ddb33fe984ba97323a68337cb9da23376a932"),
+        ("simplified", None, "663242f31173d19e523fccd786f545685001913778288296ac2ca1ae31d4bf73"),
+        ("simplified", 101, "424ad7e8914527711e693ca92c85579602c1fb83429561534d0529d99186e364"),
+    ],
+)
+def test_report_json_is_pinned(ppm_16, tmp_path, protocol, sample, digest):
+    """The report file's bytes, with the run-dependent fields pinned: the
+    timing fields, `engine_version` and the config's file paths. A digest
+    moves when a key, a value, the key order or the JSON layout changes."""
+    report = teleport_image(
+        make_config(ppm_16, tmp_path, protocol=protocol, noise_a=0.8, sample=sample)
+    )
+    assert (tmp_path / "report.json").read_text() == report.to_json()
+    pinned = dataclasses.replace(
+        report,
+        wall_time=0.0,
+        stage_seconds=dict.fromkeys(report.stage_seconds, 0.0),
+        throughput_bits_per_sec=0.0,
+        engine_version="pinned",
+        config={**report.config, "input_path": "in.ppm", "output_path": "out.ppm",
+                "report_path": "report.json"},
+    )
+    assert hashlib.sha256(pinned.to_json().encode()).hexdigest() == digest
+
+
+def _report_dict(ppm, tmp_path) -> dict:
+    teleport_image(make_config(ppm, tmp_path, sample=64))
+    return json.loads((tmp_path / "report.json").read_text())
+
+
+def test_from_dict_refuses_a_missing_field(ppm_16, tmp_path):
+    d = _report_dict(ppm_16, tmp_path)
+    del d["rng"]
+    with pytest.raises(ValueError, match="rng"):
+        TeleportReport.from_dict(d)
+    d = _report_dict(ppm_16, tmp_path)
+    del d["coincidence"]["matched"]
+    with pytest.raises(ValueError, match="matched"):
+        TeleportReport.from_dict(d)
+
+
+def test_from_dict_ignores_extra_keys(ppm_16, tmp_path):
+    d = _report_dict(ppm_16, tmp_path)
+    plain = TeleportReport.from_dict(d)
+    d["comment"] = "added by hand"
+    d["coincidence"]["note"] = 1
+    assert TeleportReport.from_dict(d) == plain
+
+
+@pytest.mark.parametrize("doc", [[], "report", 3, None])
+def test_from_dict_refuses_a_non_object(doc, ppm_16, tmp_path):
+    with pytest.raises(ValueError, match="not a JSON object"):
+        TeleportReport.from_dict(doc)
+    d = _report_dict(ppm_16, tmp_path)
+    d["coincidence"] = doc
+    with pytest.raises(ValueError, match="not a JSON object"):
+        TeleportReport.from_dict(d)
+
+
+def test_loaded_report_shares_no_dict_with_its_input(ppm_16, tmp_path):
+    d = _report_dict(ppm_16, tmp_path)
+    before = json.dumps(d, sort_keys=True)
+    report = TeleportReport.from_dict(d)
+    report.config["seed"] = -1
+    report.stage_seconds["load"] = -1.0
+    report.coincidence.per_plane["R7"] = -1.0
+    report.coincidence.per_outcome_histogram["00"] = -1
+    assert json.dumps(d, sort_keys=True) == before
 
 
 def test_reports_differ_when_payload_differs(ppm_16, tmp_path):
@@ -822,6 +898,38 @@ def test_cli_teleport_image_and_report_diff(ppm_16, tmp_path, capsys):
     older.write_text(json.dumps({**json.loads(rep_a.read_text()), "schema": 2}))
     assert cli_main(["report-diff", str(rep_a), str(older)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("damage", ["drop rng", "a list"])
+def test_cli_report_diff_refuses_a_malformed_report(ppm_16, tmp_path, capsys, damage):
+    """A report that cannot be read is an error (2), not "reports differ" (1)."""
+    good = tmp_path / "good.json"
+    assert cli_main(["teleport-image", "--in", str(ppm_16), "--report", str(good)]) == 0
+    d = json.loads(good.read_text())
+    if damage == "drop rng":
+        del d["rng"]
+    else:
+        d = [d]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert cli_main(["report-diff", str(good), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_reads_the_image_from_stdin(ppm_16, tmp_path):
+    """`cat img.ppm | qteleport teleport-image --in /dev/stdin` writes the
+    image back byte for byte: the reader does not need to seek."""
+    import qteleport
+
+    out = tmp_path / "back.ppm"
+    argv = [sys.executable, "-m", "qteleport.cli", "teleport-image",
+            "--in", "/dev/stdin", "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qteleport.__file__))}
+    run = subprocess.run(argv, input=ppm_16.read_bytes(), capture_output=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert out.read_bytes() == ppm_16.read_bytes()
 
 
 def test_cli_demo_and_bitplanes(ppm_16, tmp_path, capsys):
