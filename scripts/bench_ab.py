@@ -7,13 +7,15 @@
 For each seed and workload it runs `perfbench/run.py` once in each checkout,
 unchanged and from that checkout's root, alternating which side goes first
 (the parent on even pair numbers). It writes JSON with each side's `env`
-line, every run's metrics, and per workload and metric each side's median
-and quartiles and how many pairs each side won; ties count for neither.
+line and `src/` digest, every run's metrics, and per workload and metric
+each side's median and quartiles and how many pairs each side won; ties
+count for neither.
 Which way is better comes from BENCHMARK.json in the parent checkout.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -30,6 +32,26 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def src_digest(checkout: str) -> str:
+    """SHA-256 over the files under the checkout's `src/`: in sorted order of
+    their paths relative to it, each path, its byte count, then its bytes.
+    Names the code a side ran where its `env` line cannot, as for a copy
+    without `.git`. Bytecode caches and egg-info, which running or
+    installing a side writes, are left out."""
+    root = os.path.join(checkout, "src")
+    paths = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__" and not d.endswith(".egg-info")]
+        paths += [os.path.relpath(os.path.join(dirpath, f), root) for f in filenames]
+    digest = hashlib.sha256()
+    for rel in sorted(paths):
+        with open(os.path.join(root, rel), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -132,6 +154,7 @@ def main(argv=None) -> int:
         "command": "perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace {args.trace}",
         "env": envs,
+        "src_sha256": {side: src_digest(path) for side, path in checkouts.items()},
         "workloads": args.workloads,
         "seeds": parse_seeds(args.seeds),
         "runs": runs,

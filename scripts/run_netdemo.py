@@ -12,6 +12,7 @@ import sys
 import tempfile
 
 from qteleport.netdemo import transcript_audit
+from qteleport.protocols import PROTOCOLS
 
 CLI = [sys.executable, "-m", "qteleport.cli"]
 
@@ -42,7 +43,7 @@ def stop(proc: subprocess.Popen) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--protocol", choices=("standard", "simplified"), default="standard")
+    parser.add_argument("--protocol", choices=PROTOCOLS, default="standard")
     parser.add_argument("--bits", default="1011001110")
     parser.add_argument("--seed", type=int, default=2025)
     args = parser.parse_args()

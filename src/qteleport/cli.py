@@ -11,14 +11,7 @@ import os
 import sys
 
 from . import __version__
-from .imaging import CHANNEL_NAMES, load_raster, slice_bitplanes, write_bitplane
-from .pipeline import (
-    PipelineConfig,
-    TeleportReport,
-    reports_equivalent,
-    run_partial_demos,
-    teleport_image,
-)
+from .protocols import PROTOCOLS
 
 
 def _sample_arg(value: str) -> int | None:
@@ -39,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="input PPM (P6) image")
     p.add_argument("--out", dest="output", help="reconstructed PPM path")
     p.add_argument("--report", help="JSON report path")
-    p.add_argument("--protocol", choices=("standard", "simplified"), default="standard")
+    p.add_argument("--protocol", choices=PROTOCOLS, default="standard")
     p.add_argument("--noise-a", type=float, default=None, help="pair amplitude A in (0,1]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=_sample_arg, default=None,
@@ -50,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output", required=True, help="output directory")
 
     p = sub.add_parser("demo", help="run one of the partial experiments")
-    p.add_argument("which", choices=("sdc", "standard", "simplified"))
+    p.add_argument("which", choices=("sdc", *PROTOCOLS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="JSON verdict path")
 
@@ -65,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alice", help="send bits through a fabric to a bob")
     p.add_argument("--fabric", required=True)
     p.add_argument("--bob", required=True)
-    p.add_argument("--protocol", choices=("standard", "simplified"), required=True)
+    p.add_argument("--protocol", choices=PROTOCOLS, required=True)
     p.add_argument("--bits-from", required=True, help="text file of 0/1 characters")
     p.add_argument("--noise-a", type=float, default=None)
     p.add_argument("--transcript", help="JSON transcript path")
@@ -73,12 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bob", help="receive bits from an alice")
     p.add_argument("--listen", required=True, help="HOST:PORT; port 0 picks a free one")
     p.add_argument("--fabric", required=True)
-    p.add_argument("--protocol", choices=("standard", "simplified"), required=True)
+    p.add_argument("--protocol", choices=PROTOCOLS, required=True)
     p.add_argument("--transcript", help="JSON transcript path")
     return parser
 
 
 def _cmd_teleport_image(args) -> int:
+    from .pipeline import PipelineConfig, teleport_image
+
     config = PipelineConfig(
         input_path=args.input,
         output_path=args.output,
@@ -99,6 +94,8 @@ def _cmd_teleport_image(args) -> int:
 
 
 def _cmd_bitplanes(args) -> int:
+    from .imaging import CHANNEL_NAMES, load_raster, slice_bitplanes, write_bitplane
+
     img = load_raster(args.input)
     os.makedirs(args.output, exist_ok=True)
     for channel in range(3):
@@ -111,6 +108,8 @@ def _cmd_bitplanes(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .pipeline import run_partial_demos
+
     verdict = run_partial_demos(args.which, args.seed)
     for case, ok in verdict["cases"].items():
         print(f"{args.which}/{case}: {'PASS' if ok else 'FAIL'}")
@@ -122,6 +121,8 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_report_diff(args) -> int:
+    from .pipeline import TeleportReport, reports_equivalent
+
     with open(args.report_a, encoding="utf-8") as fh:
         a = TeleportReport.from_json(fh.read())
     with open(args.report_b, encoding="utf-8") as fh:
@@ -134,10 +135,10 @@ def _cmd_report_diff(args) -> int:
 
 
 def _cmd_serve_fabric(args) -> int:
+    from .netdemo.clients import parse_addr
     from .netdemo.fabric import FabricServer
 
-    host, _, port = args.bind.rpartition(":")
-    server = FabricServer(host or "127.0.0.1", int(port), master_seed=args.seed)
+    server = FabricServer(*parse_addr(args.bind), master_seed=args.seed)
     bound_host, bound_port = server.address
     print(f"fabric listening on {bound_host}:{bound_port}", flush=True)
     try:
@@ -179,10 +180,9 @@ def _cmd_alice(args) -> int:
 def _cmd_bob(args) -> int:
     import socket
 
-    from .netdemo.clients import run_bob
+    from .netdemo.clients import parse_addr, run_bob
 
-    host, _, port = args.listen.rpartition(":")
-    with socket.create_server((host or "127.0.0.1", int(port))) as listener:
+    with socket.create_server(parse_addr(args.listen)) as listener:
         bound_host, bound_port = listener.getsockname()[:2]
         print(f"bob listening on {bound_host}:{bound_port}", flush=True)
         result = run_bob(listener, args.fabric, args.protocol)

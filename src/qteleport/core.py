@@ -60,9 +60,6 @@ class StateVector:
         self.n = n
         self.amps = a
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"StateVector(n={self.n}, amps={self.amps!r})"
 

@@ -41,7 +41,9 @@ class SessionAborted(RuntimeError):
         self.transcript = transcript
 
 
-def _parse_addr(addr) -> tuple[str, int]:
+def parse_addr(addr) -> tuple[str, int]:
+    """A (host, port) tuple as is, or "HOST:PORT" split at its last colon;
+    an empty host is 127.0.0.1."""
     if isinstance(addr, tuple):
         return addr
     host, _, port = str(addr).rpartition(":")
@@ -183,8 +185,8 @@ def run_alice(fabric_addr, bob_addr, protocol: str, bits, noise_a: float | None 
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0/1")
     transcript: list = []
-    fabric = _Link(socket.create_connection(_parse_addr(fabric_addr)), "fabric", transcript)
-    peer = _Link(socket.create_connection(_parse_addr(bob_addr)), "peer", transcript)
+    fabric = _Link(socket.create_connection(parse_addr(fabric_addr)), "fabric", transcript)
+    peer = _Link(socket.create_connection(parse_addr(bob_addr)), "peer", transcript)
     try:
         fabric.request({"type": "HELLO", "role": "alice"})
         reply = fabric.request(
@@ -222,7 +224,7 @@ def run_bob(listener: socket.socket, fabric_addr, protocol: str) -> ClientResult
     listener.settimeout(IO_TIMEOUT)
     conn, _ = listener.accept()
     peer = _Link(conn, "peer", transcript)
-    fabric = _Link(socket.create_connection(_parse_addr(fabric_addr)), "fabric", transcript)
+    fabric = _Link(socket.create_connection(parse_addr(fabric_addr)), "fabric", transcript)
     try:
         info = peer.recv()
         if info.get("type") != "SESSION_INFO":

@@ -26,6 +26,7 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, fields
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .imaging import PLANE_NAMES, RasterImage, count_ones, load_raster, plane_on
 # these two by name on this module, so they stay importable from it.
 from .imaging import bit_array, image_from_bits  # noqa: F401
 from .protocols import (
+    PROTOCOLS,
     NoisyEprParams,
     balanced_epr,
     teleport_bit,
@@ -46,7 +48,6 @@ from .protocols import (
 from .sdc import sdc_roundtrip
 from .seeding import derive_seed
 
-PROTOCOLS = ("standard", "simplified")
 OUTCOME_KEYS = ("00", "01", "10", "11")
 
 
@@ -64,8 +65,8 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if self.noise_a is not None and not 0.0 < self.noise_a <= 1.0:
-            raise ValueError(f"noise amplitude {self.noise_a} outside (0, 1]")
+        if self.noise_a is not None:
+            NoisyEprParams.from_a(self.noise_a)
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.sample is not None and self.sample < 1:
@@ -91,13 +92,28 @@ class _Record:
     @classmethod
     def from_dict(cls, d: dict):
         """Reads exactly the declared fields, each copied so that nothing is
-        shared with `d`: a missing field is refused, any other key ignored."""
+        shared with `d`: a missing field is refused, any other key ignored.
+        A field annotated as a dict must be a JSON object, and one annotated
+        as a record is read by that record's `from_dict`."""
         if not isinstance(d, dict):
             raise ValueError(f"{cls.__name__}: not a JSON object, got {type(d).__name__}")
         missing = [f.name for f in fields(cls) if f.name not in d]
         if missing:
             raise ValueError(f"{cls.__name__}: missing field(s) {', '.join(missing)}")
-        return cls(**{f.name: copy.deepcopy(d[f.name]) for f in fields(cls)})
+        hints = get_type_hints(cls)
+        values = {}
+        for f in fields(cls):
+            hint, value = hints[f.name], d[f.name]
+            if isinstance(hint, type) and issubclass(hint, _Record):
+                value = hint.from_dict(value)
+            elif (get_origin(hint) or hint) is dict and not isinstance(value, dict):
+                raise ValueError(
+                    f"{cls.__name__}.{f.name}: not a JSON object, got {type(value).__name__}"
+                )
+            else:
+                value = copy.deepcopy(value)
+            values[f.name] = value
+        return cls(**values)
 
 
 @dataclass
@@ -130,9 +146,7 @@ class TeleportReport(_Record):
     def from_dict(cls, d: dict) -> "TeleportReport":
         if isinstance(d, dict) and d.get("schema") != cls.schema:
             raise ValueError(f"report schema {d.get('schema')!r}; this version reads {cls.schema}")
-        report = super().from_dict(d)
-        report.coincidence = CoincidenceReport.from_dict(report.coincidence)
-        return report
+        return super().from_dict(d)
 
     @classmethod
     def from_json(cls, text: str) -> "TeleportReport":

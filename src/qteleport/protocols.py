@@ -42,6 +42,8 @@ from .core import (
     tensor,
 )
 
+PROTOCOLS = ("standard", "simplified")
+
 
 class BellLabel(enum.Enum):
     """The four Bell basis states, keyed by their (b1, b2) bit labels."""
@@ -84,10 +86,6 @@ class NoisyEprParams:
             raise ValueError(f"A = {a} outside (0, 1]")
         return cls(a, math.sqrt(max(0.0, 1.0 - a * a)))
 
-    @property
-    def is_noisy(self) -> bool:
-        return abs(self.a - SQRT2_INV) > 1e-12 or abs(self.b - SQRT2_INV) > 1e-12
-
 
 def noisy_epr(params: NoisyEprParams) -> StateVector:
     """The pair A|00> + B|11>."""
@@ -122,7 +120,6 @@ class SimplifiedTrace:
     post_reset: StateVector
     bob_final: DensityMatrix2
     fidelity_vs_input: float
-    unnormalized_factor_note: str
     classical_bits_sent: int = 0
 
 
@@ -131,12 +128,12 @@ def _require_pair(epr: StateVector) -> None:
         raise ValueError(f"resource pair must be a 2-qubit state, got {epr.n} qubits")
 
 
-def standard_correction(bob: StateVector, b1: int, b2: int, qubit: int = -1) -> StateVector:
-    """Bob's conditional recovery on `qubit` (default the last one of the
-    register): Z if b2, then X if b1."""
+def standard_correction(bob: StateVector, b1: int, b2: int) -> StateVector:
+    """Bob's conditional recovery on the last qubit of the register: Z if
+    b2, then X if b1."""
     if b1 not in (0, 1) or b2 not in (0, 1):
         raise ValueError("disambiguation bits must be 0 or 1")
-    q = qubit % bob.n
+    q = bob.n - 1
     out = bob
     if b2:
         out = apply_1q(out, GATE_Z, q)
@@ -161,7 +158,7 @@ def _standard_circuit(psi, epr, rng, forced_outcome=None):
         m0, post = measure_qubit(psi2, 0, rng)
         m1, post = measure_qubit(post, 1, rng)
         b1, b2 = m1, m0
-    corrected = standard_correction(post, b1, b2, qubit=2)
+    corrected = standard_correction(post, b1, b2)
     return (psi0, psi1, psi2, post, corrected), (b1, b2)
 
 
@@ -205,13 +202,6 @@ def teleport_simplified(psi: PureQubit, epr: StateVector, rng: RandomSource) -> 
     """Run the simplified protocol once. Sends zero classical bits."""
     _require_pair(epr)
     psi0, psi1, post_h, post_reset = _simplified_circuit(psi.as_state(), epr, rng)
-
-    a, b = complex(epr.amps[0]), complex(epr.amps[3])
-    fmt = lambda z: f"{z.real:.6g}" if abs(z.imag) < 1e-15 else f"({z.real:.6g}{z.imag:+.6g}j)"
-    note = (
-        f"pair branch factor C = {fmt(a)}|00> + {fmt(b)}|10> before the resets; "
-        f"{'imbalanced' if abs(a - b) > 1e-12 else 'balanced'} resource"
-    )
     bob_final = reduced_density(post_reset, 2)
     return SimplifiedTrace(
         psi0=psi0,
@@ -220,7 +210,6 @@ def teleport_simplified(psi: PureQubit, epr: StateVector, rng: RandomSource) -> 
         post_reset=post_reset,
         bob_final=bob_final,
         fidelity_vs_input=fidelity(psi, bob_final),
-        unnormalized_factor_note=note,
     )
 
 

@@ -3,11 +3,14 @@
 The encoder half (Cl2Qu) maps a bit pair onto one of the four Bell states
 by conditionally applying X then Z to qubit 0 of a shared balanced pair.
 The decoder half runs CNOT(0->1) and H(0), landing on the basis state
-|b1 b2>, which a z-measurement reads out exactly. Chaining the halves gives
-a deterministic bits -> register -> bits path for any register of basis
-states. The image pipeline does not run its bits through this chain: it
-embeds each bit directly as a basis state and teleports that. The chain is
-exercised by the `sdc` partial demo (`pipeline.run_partial_demos`).
+|b1 b2>, which a z-measurement reads out exactly. `is_cbs` is the one test
+of "a basis state"; the decoder and the readout refuse whatever fails it.
+Chaining the halves gives a deterministic bits -> register -> bits path for
+any register of basis states. The image pipeline does not run its bits
+through this chain: it embeds each bit directly as a basis state and
+teleports that. The chain is exercised by the `sdc` partial demo
+(`pipeline.run_partial_demos`, through `sdc_roundtrip`); the fused `cl2qu`
+and `qu2cl` are what the benchmark's layer table times.
 """
 from __future__ import annotations
 
@@ -55,7 +58,7 @@ def bell_to_cbs(encoded: StateVector) -> StateVector:
         raise ValueError("encoded register must hold exactly 2 qubits")
     state = apply_cnot(encoded, 0, 1)
     state = apply_1q(state, GATE_H, 0)
-    if np.max(np.abs(state.amps)) < 1.0 - CBS_TOL:
+    if not is_cbs(state):
         raise ValueError("input is not a valid encoded pair state")
     return state
 
@@ -66,10 +69,9 @@ def is_cbs(state: StateVector) -> bool:
 
 def qu2cl(reg: StateVector) -> list[int]:
     """Deterministic single-shot readout of a basis-state register."""
-    amps = np.abs(reg.amps)
-    idx = int(np.argmax(amps))
-    if amps[idx] < 1.0 - CBS_TOL:
+    if not is_cbs(reg):
         raise ValueError("register is not a CBS: superposition detected")
+    idx = int(np.argmax(np.abs(reg.amps)))
     return [(idx >> (reg.n - 1 - k)) & 1 for k in range(reg.n)]
 
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qteleport.cli import build_parser
 from qteleport.core import PureQubit, StateVector
 from qteleport.netdemo import (
     FabricServer,
@@ -30,7 +31,7 @@ from qteleport.netdemo.clients import SessionAborted, TranscriptEntry, _alice_op
 from qteleport.netdemo import fabric as fabric_module
 from qteleport.netdemo.fabric import Fabric
 from qteleport.netdemo.framing import FramingError, encode_body, recv_msg, send_msg
-from qteleport.protocols import balanced_epr, teleport_bit
+from qteleport.protocols import PROTOCOLS, balanced_epr, teleport_bit
 from qteleport.seeding import derive_seed
 
 MASTER_SEED = 987654321
@@ -141,6 +142,14 @@ def _op(fabric, conn, sid, op):
 
 def _is_locality_error(reply):
     return reply["type"] == "ERROR" and "locality" in reply["error"]
+
+
+def test_each_protocol_has_fabric_owners_and_every_cli_protocol_choice():
+    assert set(fabric_module.OWNERS) == set(PROTOCOLS)
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for name in ("teleport-image", "alice", "bob"):
+        (option,) = [a for a in commands[name]._actions if a.dest == "protocol"]
+        assert tuple(option.choices) == PROTOCOLS
 
 
 def test_session_bootstrap_creates_balanced_pair():
@@ -287,17 +296,47 @@ _FRAMES = st.fixed_dictionaries(
 )
 
 
+def _holds_alice(fabric, sid, conn) -> bool:
+    session = fabric.sessions.get(sid)
+    return session is not None and session.parties.get("alice") is conn
+
+
 @settings(max_examples=300, deadline=None)
-@given(frames=st.lists(st.tuples(st.sampled_from(["alice", "new"]), _FRAMES), min_size=1, max_size=8))
+@given(
+    frames=st.lists(
+        st.tuples(st.sampled_from(["alice", "new"]), _FRAMES)
+        | st.tuples(st.just("intruder"), _OPS),
+        min_size=1,
+        max_size=8,
+    )
+)
 def test_fuzzed_frames_never_get_internal_errors(frames):
+    """No frame gets an internal error. While Alice holds her role, every
+    intruder BATCH is a locality error; afterwards Alice, if her session is
+    live, runs one bit there, and it fails only for want of register room."""
     fabric = Fabric(master_seed=5)
-    alice, _ = _alice_session(fabric, "standard")  # a connection already in a session
-    conns = {"alice": alice, "new": {}}
+    alice, sid = _alice_session(fabric, "standard")  # a connection already in a session
+    conns = {"alice": alice, "new": {}, "intruder": _hello(fabric, "alice")}
     for conn, frame in frames:
+        if conn == "intruder":  # said HELLO alice too, and sends ops into her session
+            frame = {"type": "BATCH", "session": sid, "ops": frame}
+        held = _holds_alice(fabric, sid, alice)
         reply = fabric.handle(frame, conns[conn])
         encode_body(reply)  # every reply frames
         if reply["type"] == "ERROR":
             assert not reply["error"].startswith("internal"), (frame, reply)
+        if conn == "intruder" and held:
+            assert _is_locality_error(reply), reply
+    fabric.handle({"type": "HELLO", "role": "alice"}, alice)  # a fuzzed HELLO may have said bob
+    if _holds_alice(fabric, sid, alice):
+        room = not fabric.sessions[sid].handles
+        bit = {"type": "BATCH", "session": sid, "ops": _alice_ops("standard", 1)}
+        replies = fabric.handle(bit, alice)["replies"]
+        errors = [r["error"] for r in replies if r["type"] == "ERROR"]
+        if room:
+            assert errors == [] and len(replies) == len(bit["ops"]), replies
+        else:
+            assert len(errors) == 1 and "live qubits" in errors[0], replies
 
 
 @pytest.mark.parametrize("protocol", ["standard", "simplified"])

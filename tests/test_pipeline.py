@@ -364,20 +364,35 @@ def test_teleport_sub_stages_are_reported(ppm_64, tmp_path):
     assert stages["teleport_draw"] + stages["teleport_kernel"] <= stages["teleport"]
 
 
-def test_importing_the_pipeline_leaves_numpy_random_unloaded():
-    """Importing `numpy.random` adds about 10 ms to the ~200 ms import of the
-    pipeline. The pipeline looks `np.random` up only when it draws, so the
-    benchmark's set-up time never pays for it."""
+def _fresh_interpreter(probe: str) -> str:
+    """What `probe` prints when run by a new interpreter on this package."""
     import qteleport
 
     src = os.path.dirname(os.path.dirname(qteleport.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, qteleport.pipeline; print('numpy.random' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_importing_the_pipeline_leaves_numpy_random_unloaded():
+    """Importing `numpy.random` adds about 10 ms to the ~200 ms import of the
+    pipeline. The pipeline looks `np.random` up only when it draws, so the
+    benchmark's set-up time never pays for it."""
+    probe = "import sys, qteleport.pipeline; print('numpy.random' in sys.modules)"
+    assert _fresh_interpreter(probe) == "False"
+
+
+def test_the_cli_loads_the_image_pipeline_only_for_image_commands():
+    """`serve-fabric`, `alice` and `bob` processes never import the image
+    pipeline: the CLI imports it inside the commands that use it."""
+    probe = (
+        "import sys, qteleport.cli; qteleport.cli.build_parser(); "
+        "print(sorted({'qteleport.pipeline', 'qteleport.imaging'} & set(sys.modules)))"
+    )
+    assert _fresh_interpreter(probe) == "[]"
 
 
 _GUARD_W, _GUARD_H = 160, 120
@@ -552,7 +567,7 @@ def _standard_branches(bit, epr):
         norms.append(float(np.sum(np.abs(branch) ** 2)))
         if np.any(branch):
             post = StateVector(_unit(branch).reshape(-1))
-            readouts.append(_bob_reads_one(standard_correction(post, m1, m0, qubit=2).amps))
+            readouts.append(_bob_reads_one(standard_correction(post, m1, m0).amps))
     return np.array(norms), readouts
 
 
@@ -900,16 +915,26 @@ def test_cli_teleport_image_and_report_diff(ppm_16, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("damage", ["drop rng", "a list"])
+@pytest.mark.parametrize(
+    "damage",
+    ["drop rng", "a list", "config", "stage_seconds", "coincidence", "per_plane",
+     "per_outcome_histogram"],
+)
 def test_cli_report_diff_refuses_a_malformed_report(ppm_16, tmp_path, capsys, damage):
-    """A report that cannot be read is an error (2), not "reports differ" (1)."""
+    """A report that cannot be read is an error (2), not "reports differ" (1).
+    A field name as `damage` sets that field, of the report or of its
+    coincidence report, to a JSON list."""
     good = tmp_path / "good.json"
     assert cli_main(["teleport-image", "--in", str(ppm_16), "--report", str(good)]) == 0
     d = json.loads(good.read_text())
     if damage == "drop rng":
         del d["rng"]
-    else:
+    elif damage == "a list":
         d = [d]
+    elif damage in d:
+        d[damage] = []
+    else:
+        d["coincidence"][damage] = []
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
     capsys.readouterr()
