@@ -1,9 +1,11 @@
-"""Dense statevector engine for small qubit registers.
+"""Dense statevector engine for small qubit registers, in plain Python.
 
 Index convention: qubit 0 is the most significant index bit, so the basis
 ket |q0 q1 ... q_{n-1}> sits at index sum(q_k * 2**(n-1-k)). Every module
-in this package relies on that layout. States are values: operations return
-new states and never mutate their inputs.
+in this package relies on that layout. A state's `amps` is a flat list of
+Python complex numbers; a 2x2 matrix (`Gate1Q.matrix`, `DensityMatrix2.mat`,
+`PureQubit.projector()`) is a tuple of two row tuples. States are values:
+operations return new states and never mutate their inputs.
 
 A state is checked once, where it enters the engine: the public
 constructors (`StateVector`, `DensityMatrix2`, `PureQubit`, `Gate1Q`) and
@@ -15,7 +17,8 @@ amplitudes, the Kronecker product of unit vectors is a unit vector, and a
 collapse renormalizes and refuses a zero-norm branch. Ops still check their
 qubit indices and `tensor` its qubit limit. `measure_qubit` guards against
 a corrupt norm, the one way a caller who mutates `.amps` in place can reach
-an op.
+an op. `drop_qubit` checks its result like a new state, because its input
+need only be close to a basis state on the dropped qubit.
 """
 from __future__ import annotations
 
@@ -23,14 +26,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
-import numpy as np
-
-MAX_QUBITS = 24
+MAX_QUBITS = 10  # no program path holds more than 3
 NORM_TOL = 1e-12
 # Norm this far below 1 signals a logic bug upstream, not rounding drift.
 CORRUPT_NORM = 1e-9
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
+
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
 class RandomSource(Protocol):
@@ -40,21 +43,37 @@ class RandomSource(Protocol):
     def random(self) -> float: ...
 
 
+def _norm(amps: Iterable[complex]) -> float:
+    """Euclidean norm, safe from overflow. A list, unlike an iterator,
+    unpacks into an exact-size tuple that CPython's tuple free list reuses."""
+    return math.hypot(*[abs(z) for z in amps])
+
+
+def _matrix2(rows, what: str) -> Matrix2:
+    """A 2x2 matrix of finite complex entries, as a tuple of row tuples."""
+    m = tuple(tuple(complex(z) for z in row) for row in rows)
+    if len(m) != 2 or any(len(row) != 2 for row in m):
+        raise ValueError(f"{what} must be 2x2")
+    if not all(math.isfinite(x) for row in m for z in row for x in (z.real, z.imag)):
+        raise ValueError(f"{what} has a non-finite entry")
+    return m
+
+
 class StateVector:
-    """Normalized complex amplitude vector over n qubits (1 <= n <= 24)."""
+    """Normalized complex amplitude vector over n qubits (1 <= n <= 10)."""
 
     __slots__ = ("n", "amps")
 
-    def __init__(self, amps: Sequence[complex] | np.ndarray):
-        a = np.array(amps, dtype=complex).reshape(-1)
-        n = int(a.size).bit_length() - 1
-        if n < 1 or a.size != (1 << n):
-            raise ValueError(f"amplitude count {a.size} is not a power of two >= 2")
+    def __init__(self, amps: Sequence[complex]):
+        a = [complex(z) for z in amps]
+        n = len(a).bit_length() - 1
+        if n < 1 or len(a) != (1 << n):
+            raise ValueError(f"amplitude count {len(a)} is not a power of two >= 2")
         if n > MAX_QUBITS:
             raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit limit")
-        if not np.all(np.isfinite(a.view(np.float64))):
+        if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in a):
             raise ValueError("non-finite amplitude")
-        nrm = np.linalg.norm(a)
+        nrm = _norm(a)
         if abs(nrm - 1.0) > CORRUPT_NORM:
             raise ValueError(f"state norm {nrm} is not 1")
         self.n = n
@@ -64,7 +83,7 @@ class StateVector:
         return f"StateVector(n={self.n}, amps={self.amps!r})"
 
 
-def _state(amps: np.ndarray, n: int) -> StateVector:
+def _state(amps: list[complex], n: int) -> StateVector:
     """An op's result over n qubits, taken as is (see the module docstring)."""
     state = StateVector.__new__(StateVector)
     state.n = n
@@ -87,9 +106,9 @@ class PureQubit:
     def as_state(self) -> StateVector:
         return StateVector([self.alpha, self.beta])
 
-    def projector(self) -> np.ndarray:
-        v = np.array([self.alpha, self.beta], dtype=complex)
-        return np.outer(v, v.conj())
+    def projector(self) -> Matrix2:
+        v = (complex(self.alpha), complex(self.beta))
+        return tuple(tuple(x * y.conjugate() for y in v) for x in v)
 
 
 @dataclass(frozen=True)
@@ -97,23 +116,23 @@ class Gate1Q:
     """Named single-qubit gate with its 2x2 unitary."""
 
     name: str
-    matrix: np.ndarray
+    matrix: Matrix2
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("gate matrix must be 2x2")
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"gate {self.name} has a non-finite entry")
-        if np.max(np.abs(m @ m.conj().T - np.eye(2))) > NORM_TOL:
+        m = _matrix2(self.matrix, f"gate {self.name} matrix")
+        (a, b), (c, d) = m
+        # m m^dagger - I has these two diagonal entries, and `off` and its conjugate.
+        diagonal = (abs(a) ** 2 + abs(b) ** 2 - 1.0, abs(c) ** 2 + abs(d) ** 2 - 1.0)
+        off = a * c.conjugate() + b * d.conjugate()
+        if max(*map(abs, diagonal), abs(off)) > NORM_TOL:
             raise ValueError(f"gate {self.name} is not unitary")
         object.__setattr__(self, "matrix", m)
 
 
-GATE_I = Gate1Q("I", np.eye(2, dtype=complex))
-GATE_H = Gate1Q("H", np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV)
-GATE_X = Gate1Q("X", np.array([[0, 1], [1, 0]], dtype=complex))
-GATE_Z = Gate1Q("Z", np.array([[1, 0], [0, -1]], dtype=complex))
+GATE_I = Gate1Q("I", ((1, 0), (0, 1)))
+GATE_H = Gate1Q("H", ((SQRT2_INV, SQRT2_INV), (SQRT2_INV, -SQRT2_INV)))
+GATE_X = Gate1Q("X", ((0, 1), (1, 0)))
+GATE_Z = Gate1Q("Z", ((1, 0), (0, -1)))
 GATES = {g.name: g for g in (GATE_I, GATE_H, GATE_X, GATE_Z)}
 
 
@@ -122,15 +141,16 @@ class DensityMatrix2:
 
     __slots__ = ("mat",)
 
-    def __init__(self, mat: np.ndarray):
-        m = np.array(mat, dtype=complex).reshape(2, 2)
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix has a non-finite entry")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
+    def __init__(self, mat):
+        m = _matrix2(mat, "density matrix")
+        (a, b), (c, d) = m
+        if max(2.0 * abs(a.imag), 2.0 * abs(d.imag), abs(b - c.conjugate())) > 1e-10:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > CORRUPT_NORM:
+        if abs((a + d).real - 1.0) > CORRUPT_NORM:
             raise ValueError("density matrix trace is not 1")
-        if np.min(np.linalg.eigvalsh(m)) < -CORRUPT_NORM:
+        # The smaller eigenvalue of [[a, c*], [c, d]], from the lower triangle.
+        smaller = (a.real + d.real) / 2.0 - math.hypot((a.real - d.real) / 2.0, abs(c))
+        if smaller < -CORRUPT_NORM:
             raise ValueError("density matrix has a negative eigenvalue")
         self.mat = m
 
@@ -138,9 +158,21 @@ class DensityMatrix2:
         return f"DensityMatrix2({self.mat!r})"
 
 
-def _check_qubit(qubit: int, n: int) -> None:
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
+def _bit(state: StateVector, qubit: int) -> int:
+    """The index bit that holds `qubit`."""
+    if not 0 <= qubit < state.n:
+        raise ValueError(f"qubit index {qubit} out of range for {state.n} qubits")
+    return 1 << (state.n - 1 - qubit)
+
+
+def _split(state: StateVector, qubit: int) -> tuple[list[complex], list[complex]]:
+    """The amplitudes where `qubit` is 0 and where it is 1, each in index
+    order, so the k-th of each differ only in that qubit."""
+    bit = _bit(state, qubit)
+    halves: tuple[list[complex], list[complex]] = ([], [])
+    for i, z in enumerate(state.amps):
+        halves[1 if i & bit else 0].append(z)
+    return halves
 
 
 def make_cbs(bits: Iterable[int]) -> StateVector:
@@ -155,8 +187,8 @@ def make_cbs(bits: Iterable[int]) -> StateVector:
         if b not in (0, 1):
             raise ValueError(f"bit value {b!r} is not 0 or 1")
         idx = (idx << 1) | b
-    amps = np.zeros(1 << len(bits), dtype=complex)
-    amps[idx] = 1.0
+    amps = [0j] * (1 << len(bits))
+    amps[idx] = 1 + 0j
     return _state(amps, len(bits))
 
 
@@ -176,52 +208,42 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product a (x) b; a's qubits become the leading ones."""
     if a.n + b.n > MAX_QUBITS:
         raise ValueError(f"{a.n}+{b.n} qubits exceeds the {MAX_QUBITS}-qubit limit")
-    return _state(np.kron(a.amps, b.amps), a.n + b.n)
+    return _state([x * y for x in a.amps for y in b.amps], a.n + b.n)
 
 
 def apply_1q(state: StateVector, gate: Gate1Q, qubit: int) -> StateVector:
     """Apply a single-qubit gate to the given qubit."""
-    _check_qubit(qubit, state.n)
-    m = gate.matrix
-    t = state.amps.reshape(1 << qubit, 2, -1)
-    out = np.empty_like(t)
-    a0, a1 = t[:, 0, :], t[:, 1, :]
-    out[:, 0, :] = m[0, 0] * a0 + m[0, 1] * a1
-    out[:, 1, :] = m[1, 0] * a0 + m[1, 1] * a1
-    return _state(out.reshape(-1), state.n)
+    bit = _bit(state, qubit)
+    (m00, m01), (m10, m11) = gate.matrix
+    a = state.amps
+    out = [
+        m10 * a[i ^ bit] + m11 * z if i & bit else m00 * z + m01 * a[i ^ bit]
+        for i, z in enumerate(a)
+    ]
+    return _state(out, state.n)
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     """Flip the target bit on every component whose control bit is 1."""
-    n = state.n
-    _check_qubit(control, n)
-    _check_qubit(target, n)
-    if control == target:
+    c, t = _bit(state, control), _bit(state, target)
+    if c == t:
         raise ValueError("control and target must differ")
-    t = state.amps.reshape([2] * n).copy()
-    i0 = [slice(None)] * n
-    i1 = [slice(None)] * n
-    i0[control] = i1[control] = 1
-    i0[target], i1[target] = 0, 1
-    lo, hi = t[tuple(i0)].copy(), t[tuple(i1)].copy()
-    t[tuple(i0)], t[tuple(i1)] = hi, lo
-    return _state(t.reshape(-1), n)
+    a = state.amps
+    return _state([a[i ^ t] if i & c else a[i] for i in range(len(a))], state.n)
 
 
 def project_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
     """Collapse one qubit onto the z-basis `outcome` and renormalize.
     Raises on a branch of zero norm."""
-    _check_qubit(qubit, state.n)
+    bit = _bit(state, qubit)
     if outcome not in (0, 1):
         raise ValueError(f"outcome {outcome!r} is not 0 or 1")
-    t = state.amps.reshape(1 << qubit, 2, -1).copy()
-    t[:, 1 - outcome, :] = 0.0
-    flat = t.reshape(-1)
-    nrm = np.linalg.norm(flat)
+    kept = bit if outcome else 0
+    nrm = _norm(z for i, z in enumerate(state.amps) if i & bit == kept)
     if nrm < CORRUPT_NORM:
         raise ValueError(f"outcome {outcome} on qubit {qubit} has zero probability")
-    flat /= nrm
-    return _state(flat, state.n)
+    out = [z / nrm if i & bit == kept else 0j for i, z in enumerate(state.amps)]
+    return _state(out, state.n)
 
 
 def measure_qubit(state: StateVector, qubit: int, rng: RandomSource) -> tuple[int, StateVector]:
@@ -230,12 +252,10 @@ def measure_qubit(state: StateVector, qubit: int, rng: RandomSource) -> tuple[in
     Draws exactly one uniform variate; the outcome is 1 iff it falls below
     the Born probability of |1>. Returns the renormalized collapsed state.
     """
-    _check_qubit(qubit, state.n)
-    amps = state.amps
-    nrm2 = float(np.sum(np.abs(amps) ** 2))
-    if math.sqrt(nrm2) < CORRUPT_NORM:
+    nrm = _norm(state.amps)
+    if nrm < CORRUPT_NORM:
         raise ValueError("state norm below 1e-9: corrupt input")
-    p1 = float(np.sum(np.abs(amps.reshape(1 << qubit, 2, -1)[:, 1, :]) ** 2)) / nrm2
+    p1 = (_norm(_split(state, qubit)[1]) / nrm) ** 2
     outcome = 1 if rng.random() < p1 else 0
     return outcome, project_qubit(state, qubit, outcome)
 
@@ -248,19 +268,32 @@ def reset_qubit(state: StateVector, qubit: int, rng: RandomSource) -> StateVecto
     return collapsed
 
 
+def drop_qubit(state: StateVector, qubit: int, value: int) -> StateVector:
+    """The register left when `qubit`, which must be in the basis state
+    |value>, is removed. The result is checked like a new state."""
+    halves = _split(state, qubit)
+    if value not in (0, 1):
+        raise ValueError(f"value {value!r} is not 0 or 1")
+    if any(abs(z) > CORRUPT_NORM for z in halves[1 - value]):
+        raise ValueError(f"qubit {qubit} is not |{value}>")
+    return StateVector(halves[value])
+
+
 def reduced_density(state: StateVector, qubit: int) -> DensityMatrix2:
     """Partial trace onto one qubit."""
-    _check_qubit(qubit, state.n)
-    t = state.amps.reshape(1 << qubit, 2, -1)
+    halves = _split(state, qubit)
     rho = DensityMatrix2.__new__(DensityMatrix2)
-    rho.mat = np.einsum("iaj,ibj->ab", t, t.conj())
+    rho.mat = tuple(
+        tuple(sum(x * y.conjugate() for x, y in zip(halves[r], halves[c])) for c in (0, 1))
+        for r in (0, 1)
+    )
     return rho
 
 
 def fidelity(target: PureQubit, rho: DensityMatrix2) -> float:
     """<psi| rho |psi>, clamped to [0, 1] against rounding."""
-    v = np.array([target.alpha, target.beta], dtype=complex)
-    f = float(np.real(v.conj() @ rho.mat @ v))
+    v = (complex(target.alpha), complex(target.beta))
+    f = sum(v[r].conjugate() * rho.mat[r][c] * v[c] for r in (0, 1) for c in (0, 1)).real
     return min(1.0, max(0.0, f))
 
 
@@ -272,4 +305,3 @@ def dump_state(state: StateVector) -> str:
         bits = format(i, f"0{n}b")
         lines.append(f"{i}\t{bits}\t{amp.real:.17g}\t{amp.imag:.17g}")
     return "\n".join(lines) + "\n"
-

@@ -31,17 +31,7 @@ import re
 import socketserver
 import threading
 
-import numpy as np
-
-from ..core import (
-    GATES,
-    StateVector,
-    apply_1q,
-    apply_cnot,
-    measure_qubit,
-    reduced_density,
-    tensor,
-)
+from ..core import GATES, StateVector, apply_1q, apply_cnot, drop_qubit, measure_qubit, tensor
 from ..protocols import NoisyEprParams, balanced_epr, noisy_epr
 from ..seeding import derive_seed
 from .framing import recv_msg, send_msg
@@ -71,14 +61,16 @@ class Session:
     def __init__(self, session_id: int, protocol: str, noise_a: float | None, seed: int):
         if type(protocol) is not str or protocol not in OWNERS:
             raise FabricError(f"unknown protocol {protocol!r}")
-        if noise_a is not None and (
-            type(noise_a) not in (int, float) or not 0.0 < noise_a <= 1.0
-        ):
-            raise FabricError(f"noise amplitude {noise_a!r} is not a number in (0, 1]")
+        if noise_a is not None and type(noise_a) not in (int, float):  # bool is no amplitude
+            raise FabricError(f"noise amplitude {noise_a!r} is not a number")
+        try:
+            params = None if noise_a is None else NoisyEprParams.from_a(noise_a)
+        except ValueError as exc:
+            raise FabricError(f"noise amplitude {exc}") from None
         self.session_id = session_id
         self.pair_owners, self.payload_owner = OWNERS[protocol]
         # States are values, so every ALLOC_EPR can tensor in this one pair.
-        self.pair = balanced_epr() if noise_a is None else noisy_epr(NoisyEprParams.from_a(noise_a))
+        self.pair = balanced_epr() if params is None else noisy_epr(params)
         self.rng = random.Random(seed)
         self.state: StateVector | None = None
         self.handles: list[int] = []  # live handles in axis order
@@ -170,19 +162,9 @@ class Session:
         self._check_owner(role, [handle])
         axis = self._axis(handle)
         bit, collapsed = measure_qubit(self.state, axis, self.rng)
-        if collapsed.n == 1:
-            self.state = None
-        else:
-            t = collapsed.amps.reshape([2] * collapsed.n)
-            self.state = StateVector(np.take(t, bit, axis=axis))
+        self.state = None if collapsed.n == 1 else drop_qubit(collapsed, axis, bit)
         self.handles.remove(handle)
         return bit
-
-    def read_rho(self, role: str, handle: int) -> dict:
-        self._check_owner(role, [handle])
-        rho = reduced_density(self.state, self._axis(handle)).mat
-        flat = [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]
-        return {"type": "RHO", "rho": flat}
 
 
 # "$k.field": `field` of the reply to op k of the same batch.
@@ -257,8 +239,6 @@ def _run(session: Session, role: str, msg, replies: list[dict]) -> dict:
     if mtype == "RESET":
         session.measure(role, _qubit_handle(msg.get("qubit"), replies))
         return {"type": "OK"}
-    if mtype == "READ_RHO":
-        return session.read_rho(role, _qubit_handle(msg.get("qubit"), replies))
     raise FabricError(f"unknown op type {mtype!r}")
 
 

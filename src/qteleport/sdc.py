@@ -14,15 +14,17 @@ and `qu2cl` are what the benchmark's layer table times.
 """
 from __future__ import annotations
 
-import numpy as np
+from functools import reduce
 
 from .core import (
     GATE_H,
     GATE_X,
     GATE_Z,
+    MAX_QUBITS,
     StateVector,
     apply_1q,
     apply_cnot,
+    drop_qubit,
     tensor,
 )
 from .protocols import BellLabel, bell_state
@@ -64,14 +66,14 @@ def bell_to_cbs(encoded: StateVector) -> StateVector:
 
 
 def is_cbs(state: StateVector) -> bool:
-    return bool(np.max(np.abs(state.amps)) >= 1.0 - CBS_TOL)
+    return max(map(abs, state.amps)) >= 1.0 - CBS_TOL
 
 
 def qu2cl(reg: StateVector) -> list[int]:
     """Deterministic single-shot readout of a basis-state register."""
     if not is_cbs(reg):
         raise ValueError("register is not a CBS: superposition detected")
-    idx = int(np.argmax(np.abs(reg.amps)))
+    idx = max(range(len(reg.amps)), key=lambda i: abs(reg.amps[i]))
     return [(idx >> (reg.n - 1 - k)) & 1 for k in range(reg.n)]
 
 
@@ -82,28 +84,13 @@ def cl2qu(bits) -> StateVector:
     ancilla whose qubit is dropped from the result.
     """
     bits = list(bits)
-    if not 1 <= len(bits) <= 24:
-        raise ValueError(f"bit string length {len(bits)} outside 1..24")
-    reg: StateVector | None = None
-    for i in range(0, len(bits), 2):
-        chunk = bits[i : i + 2]
-        padded = len(chunk) == 1
-        if padded:
-            chunk = [chunk[0], 0]
-        pair_reg = bell_to_cbs(cl2qu_encode((chunk[0], chunk[1])))
-        if padded:
-            pair_reg = _drop_ancilla(pair_reg)
-        reg = pair_reg if reg is None else tensor(reg, pair_reg)
-    assert reg is not None
-    return reg
-
-
-def _drop_ancilla(pair_reg: StateVector) -> StateVector:
-    """Strip the trailing zero ancilla from a 2-qubit basis register."""
-    t = pair_reg.amps.reshape(2, 2)
-    if np.max(np.abs(t[:, 1])) > CBS_TOL:
-        raise ValueError("ancilla qubit is not |0>")
-    return StateVector(t[:, 0])
+    if not 1 <= len(bits) <= MAX_QUBITS:
+        raise ValueError(f"bit string length {len(bits)} outside 1..{MAX_QUBITS}")
+    padded = bits + [0] * (len(bits) % 2)
+    regs = [bell_to_cbs(cl2qu_encode(pair)) for pair in zip(padded[::2], padded[1::2])]
+    if len(bits) % 2:
+        regs[-1] = drop_qubit(regs[-1], 1, 0)
+    return reduce(tensor, regs)
 
 
 def sdc_roundtrip(pair: BitPair) -> BitPair:

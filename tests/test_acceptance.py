@@ -33,6 +33,8 @@ from qteleport.seeding import derive_seed
 
 S = 1 / math.sqrt(2)
 OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
+# The p = 0.001 upper quantile of chi-squared with 3 degrees of freedom.
+_CHI2_3DF_P001 = 16.27
 
 
 def verdict(number: int, name: str, ok: bool) -> None:
@@ -245,3 +247,37 @@ def test_criterion_9_determinism(ppm_16, tmp_path):
         d["config"].pop("output_path"), d["config"].pop("report_path")
     ok = ok and d0 == d1
     verdict(9, "determinism (identical reports and output bytes)", ok)
+
+
+def test_criterion_10_reference_chain(image_64):
+    """24 000 distinct positions of the 64x64 fixture, drawn on a stream of
+    their own, each embedded as |bit>, teleported over the A = 0.8 pair and
+    read out by Bob (`teleport_bit`), for each protocol. Every bit arrives,
+    and the standard (m1, m0) histogram passes a chi-squared test against
+    the pipeline's outcome table, weighted by the counts of 0- and 1-bits."""
+    from qteleport.imaging import bit_array
+    from qteleport.pipeline import OUTCOME_KEYS, _outcome_table
+
+    t0 = time.perf_counter()
+    params = NoisyEprParams.from_a(0.8)
+    pair = noisy_epr(params)
+    positions = np.random.default_rng(derive_seed(10, "positions"))
+    picks = positions.choice(image_64.total_bits(), 24_000, replace=False)
+    bits = bit_array(image_64)[picks].tolist()
+    rng = random.Random(derive_seed(10, "teleport"))
+    ok = True
+    hist = dict.fromkeys(OUTCOME_KEYS, 0)
+    for protocol in ("standard", "simplified"):
+        for bit in bits:
+            res = teleport_bit(bit, protocol, pair, rng)
+            ok = ok and res.received == bit
+            if res.disambiguation is not None:
+                m1, m0 = res.disambiguation
+                hist[f"{m1}{m0}"] += 1
+    n1 = sum(bits)
+    table = _outcome_table(params.a, params.b)
+    expected = (len(bits) - n1) * table[0] + n1 * table[1]
+    chi2 = sum((hist[key] - e) ** 2 / e for key, e in zip(OUTCOME_KEYS, expected))
+    ok = ok and sum(hist.values()) == len(bits) and chi2 < _CHI2_3DF_P001
+    elapsed = time.perf_counter() - t0
+    verdict(10, f"reference chain (2 x 24000 bits, chi2 {chi2:.2f}, {elapsed:.1f}s)", ok)

@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qteleport.core import (
@@ -17,12 +17,14 @@ from qteleport.core import (
     GATE_X,
     GATE_Z,
     GATES,
+    MAX_QUBITS,
     DensityMatrix2,
     Gate1Q,
     PureQubit,
     StateVector,
     apply_1q,
     apply_cnot,
+    drop_qubit,
     dump_state,
     fidelity,
     ket_from_bloch,
@@ -116,7 +118,7 @@ def test_tensor_pair_then_payload():
 
 
 def test_tensor_overflow():
-    big = make_cbs([0] * 23)
+    big = make_cbs([0] * (MAX_QUBITS - 1))
     with pytest.raises(ValueError):
         tensor(big, make_cbs([0, 0]))
 
@@ -199,7 +201,7 @@ def test_measure_branch_probabilities_are_quarters():
     state = StateVector(
         ket(3, {0: 0.3, 4: 0.3, 3: 0.3, 7: 0.3, 2: 0.4, 6: -0.4, 1: 0.4, 5: -0.4})
     )
-    t = state.amps.reshape(2, 2, 2)
+    t = np.asarray(state.amps).reshape(2, 2, 2)
     for m0 in (0, 1):
         for m1 in (0, 1):
             prob = float(np.sum(np.abs(t[m0, m1, :]) ** 2))
@@ -208,7 +210,7 @@ def test_measure_branch_probabilities_are_quarters():
 
 def test_measure_rejects_corrupt_state():
     bad = StateVector([1.0, 0.0])
-    bad.amps *= 1e-12
+    bad.amps[0] *= 1e-12
     with pytest.raises(ValueError):
         measure_qubit(bad, 0, random.Random(0))
 
@@ -260,6 +262,19 @@ def test_reset_idempotent():
         assert np.allclose(once.amps, twice.amps, atol=1e-12)
 
 
+def test_drop_qubit_removes_a_basis_qubit_and_refuses_others():
+    a, b = StateVector([0.6, 0.8]), StateVector([S, -S])
+    state = tensor(tensor(a, make_cbs([1])), b)
+    assert np.allclose(drop_qubit(state, 1, 1).amps, tensor(a, b).amps, atol=1e-15)
+    for qubit, value in ((1, 0), (0, 0), (0, 1), (2, 1)):  # not in |value>
+        with pytest.raises(ValueError):
+            drop_qubit(state, qubit, value)
+    with pytest.raises(ValueError):
+        drop_qubit(state, 3, 0)
+    with pytest.raises(ValueError):
+        drop_qubit(make_cbs([0]), 0, 0)  # nothing would be left
+
+
 # -------------------------------------------------------- reduced density
 
 
@@ -308,14 +323,14 @@ def test_pauli_and_hadamard_square_to_identity():
     for gate in (GATE_H, GATE_X, GATE_Z, GATE_I):
         state = random_state(rng, 3)
         out = apply_1q(apply_1q(state, gate, 1), gate, 1)
-        assert np.max(np.abs(out.amps - state.amps)) < 1e-12
+        assert np.max(np.abs(np.asarray(out.amps) - state.amps)) < 1e-12
 
 
 def test_cnot_squares_to_identity():
     rng = np.random.default_rng(13)
     state = random_state(rng, 3)
     out = apply_cnot(apply_cnot(state, 0, 2), 0, 2)
-    assert np.max(np.abs(out.amps - state.amps)) < 1e-12
+    assert np.max(np.abs(np.asarray(out.amps) - state.amps)) < 1e-12
 
 
 def test_gate_commutes_with_tensor_on_first_factor():
@@ -324,7 +339,7 @@ def test_gate_commutes_with_tensor_on_first_factor():
     b = random_state(rng, 2)
     left = apply_1q(tensor(a, b), GATE_H, 0)
     right = tensor(apply_1q(a, GATE_H, 0), b)
-    assert np.max(np.abs(left.amps - right.amps)) < 1e-12
+    assert np.max(np.abs(np.asarray(left.amps) - right.amps)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -378,10 +393,10 @@ def test_op_results_pass_the_public_check(seed, n, moves):
         elif op == "reset":
             state = reset_qubit(state, q, draws)
         elif op == "project":
-            p1 = float(np.sum(np.abs(state.amps.reshape(1 << q, 2, -1)[:, 1, :]) ** 2))
+            p1 = float(np.sum(np.abs(np.asarray(state.amps).reshape(1 << q, 2, -1)[:, 1, :]) ** 2))
             outcome = k % 2 if min(p1, 1.0 - p1) > 1e-9 else int(p1 > 0.5)
             state = project_qubit(state, q, outcome)
-        amps = state.amps
+        amps = np.asarray(state.amps)
         assert amps.shape == (1 << state.n,) and 1 <= state.n <= 5
         assert np.all(np.isfinite(amps.view(np.float64)))
         assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
@@ -455,6 +470,44 @@ def test_entry_points_reject_nonfinite(entry, value):
     lets NaN through; every public constructor must refuse it."""
     with pytest.raises(ValueError):
         _ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [[[0.5, 0.1], [0.2, 0.5]], [[0.5 + 0.1j, 0], [0, 0.5]], [[0.6, 0], [0, 0.6]],
+     [[1.2, 0], [0, -0.2]], [[0.5, 0.6], [0.6, 0.5]], [[1, 0, 0, 0]], [[1, 0], [0]]],
+    ids=["asymmetric", "complex-diagonal", "trace", "negative-diagonal", "negative-eigenvalue",
+         "flat", "ragged"],
+)
+def test_density_matrix_rejects_what_is_not_a_state(mat):
+    with pytest.raises(ValueError):
+        DensityMatrix2(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.floats(-0.5, 1.5), re=st.floats(-1, 1), im=st.floats(-1, 1))
+def test_density_matrix_eigenvalue_check_matches_eigvalsh(d, re, im):
+    """The closed-form smaller eigenvalue accepts exactly the unit-trace
+    Hermitian matrices that numpy's eigvalsh finds positive semidefinite."""
+    mat = [[d, complex(re, -im)], [complex(re, im), 1.0 - d]]
+    smaller = np.linalg.eigvalsh(np.array(mat)).min()
+    assume(abs(smaller + 1e-9) > 1e-12)  # too close to the bound to call
+    try:
+        DensityMatrix2(mat)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (smaller >= -1e-9)
+
+
+@pytest.mark.parametrize(
+    "mat", [[[1, 0], [0, 1.1]], [[1, 1], [0, 1]], [[0.6, 0.8], [0.8, 0.6]], [[1, 0]]],
+    ids=["long-row", "shear", "rows-not-orthogonal", "one-row"],
+)
+def test_gate_rejects_a_non_unitary_matrix(mat):
+    with pytest.raises(ValueError):
+        Gate1Q("N", mat)
+    Gate1Q("R", [[0.6, 0.8], [0.8, -0.6]])  # a reflection is unitary
 
 
 def test_statevector_rejects_unnormalized_amplitudes():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qteleport.cli import build_parser
-from qteleport.core import PureQubit, StateVector
+from qteleport.core import PureQubit, StateVector, reduced_density
 from qteleport.netdemo import (
     FabricServer,
     FrameDecoder,
@@ -181,7 +181,7 @@ def test_retired_qubit_keeps_its_owner_and_is_not_reread():
     bob = _hello(fabric, "bob")
     q_psi = _op(fabric, alice, sid, {"type": "ALLOC_QUBIT", "alpha_re": 0.0, "beta_re": 1.0})["q"]
     assert _op(fabric, alice, sid, {"type": "MEASURE", "qubit": q_psi}) == {"type": "RESULT", "bit": 1}
-    for op_type in ("MEASURE", "RESET", "READ_RHO", "APPLY"):
+    for op_type in ("MEASURE", "RESET", "APPLY"):
         op = {"type": op_type, "qubit": q_psi, "gate": "X", "qubits": [q_psi]}
         # Bob must learn Alice's outcomes from CLASSICAL, never from the fabric.
         assert _is_locality_error(_op(fabric, bob, sid, op))
@@ -244,6 +244,8 @@ def test_bare_per_qubit_command_is_an_error(op_type):
         {"type": "BATCH", "session": [0], "ops": [{"type": "ALLOC_EPR"}]},
         {"type": "BATCH", "session": {}, "ops": [{"type": "ALLOC_EPR"}]},
         {"type": "BATCH", "session": False, "ops": [{"type": "ALLOC_EPR"}]},
+        *({"type": "NEW_SESSION", "protocol": "standard", "noise_A": a}
+          for a in (0, -0.5, 1.5, float("nan"), float("inf"), 10**400)),
     ],
 )
 def test_malformed_frames_are_rejected_not_internal_errors(frame):
@@ -271,7 +273,7 @@ _OPS = st.lists(
     st.one_of(
         st.sampled_from(_alice_ops("standard", 1) + _alice_ops("simplified", 0)),
         st.fixed_dictionaries(
-            {"type": _field("ALLOC_EPR", "ALLOC_QUBIT", "APPLY", "MEASURE", "RESET", "READ_RHO")},
+            {"type": _field("ALLOC_EPR", "ALLOC_QUBIT", "APPLY", "MEASURE", "RESET")},
             optional={
                 "qubit": _HANDLE,
                 "qubits": st.one_of(st.lists(_HANDLE, max_size=3), _JSON),
@@ -407,6 +409,7 @@ def _bad_batches(draw):
         st.builds(lambda r: {"type": "APPLY", "gate": "H", "qubits": [r]}, reference),
         st.one_of(st.none(), st.integers(), st.text(max_size=5), st.lists(st.integers(), max_size=2)),
         st.builds(lambda op, sid: dict(op, session=sid), st.sampled_from(good), st.integers(-1, 3)),
+        st.builds(lambda r: {"type": "READ_RHO", "qubit": r}, st.one_of(st.integers(0, 2), reference)),
     ))
     ops = good[:pos] + [bad] + good[pos:]
     return protocol, pos, ops
@@ -444,7 +447,7 @@ def test_unknown_message_type_yields_error_reply():
     assert fabric.handle({"type": "NEW_SESSION", "protocol": "standard"}, conn)["type"] == "SESSION"
 
 
-def test_read_rho_after_completed_standard_teleport():
+def test_completed_standard_teleport_leaves_the_payload_on_bobs_qubit():
     fabric = Fabric(master_seed=7)
     alice, sid = _alice_session(fabric, "standard")
     bob = _hello(fabric, "bob")
@@ -454,20 +457,22 @@ def test_read_rho_after_completed_standard_teleport():
     replies = fabric.handle({"type": "BATCH", "session": sid, "ops": ops}, alice)["replies"]
     q_bob, m0, m1 = replies[1]["q_bob"], replies[4]["bit"], replies[5]["bit"]
     ops = [{"type": "APPLY", "gate": g, "qubits": [q_bob]} for g, m in (("Z", m0), ("X", m1)) if m]
-    ops.append({"type": "READ_RHO", "qubit": q_bob})
-    rho = fabric.handle({"type": "BATCH", "session": sid, "ops": ops}, bob)["replies"][-1]["rho"]
-    got = np.array([complex(re, im) for re, im in rho]).reshape(2, 2)
-    assert np.max(np.abs(got - psi.projector())) < 1e-9
+    if ops:
+        replies = fabric.handle({"type": "BATCH", "session": sid, "ops": ops}, bob)["replies"]
+        assert [r["type"] for r in replies] == ["OK"] * len(ops)
+    session = fabric.sessions[sid]
+    rho = reduced_density(session.state, session.handles.index(q_bob)).mat
+    assert np.max(np.abs(np.asarray(rho) - psi.projector())) < 1e-9
 
 
-def test_read_rho_is_owner_checked_like_measure():
+def test_measure_is_owner_checked_on_live_and_retired_qubits():
     fabric = Fabric(master_seed=7)
     alice, sid = _alice_session(fabric, "standard")
     bob = _hello(fabric, "bob")
     transcript = []
 
     def bob_reads(q):
-        msg = {"type": "BATCH", "session": sid, "ops": [{"type": "READ_RHO", "qubit": q}]}
+        msg = {"type": "BATCH", "session": sid, "ops": [{"type": "MEASURE", "qubit": q}]}
         reply = fabric.handle(msg, bob)
         transcript.append({"link": "fabric", "dir": "recv", "msg": reply})
         return reply["replies"][0]
@@ -480,7 +485,7 @@ def test_read_rho_is_owner_checked_like_measure():
         _op(fabric, alice, sid, {"type": "MEASURE", "qubit": q})
     assert all(_is_locality_error(bob_reads(q)) for q in alices)  # retired
     assert transcript_audit(transcript)["violations"] == 4
-    assert bob_reads(pair["q_bob"])["type"] == "RHO"
+    assert bob_reads(pair["q_bob"])["type"] == "RESULT"
     assert transcript_audit(transcript)["violations"] == 4
 
 
@@ -496,7 +501,7 @@ def test_roles_are_bound_per_session_not_declared():
     before = session.rng.getstate()
     intruder = _hello(fabric, "alice")
     transcript = []
-    for op in ({"type": "MEASURE", "qubit": q_psi}, {"type": "READ_RHO", "qubit": q_psi}):
+    for op in ({"type": "MEASURE", "qubit": q_psi}, {"type": "RESET", "qubit": q_psi}):
         reply = fabric.handle({"type": "BATCH", "session": sid, "ops": [op]}, intruder)
         transcript.append({"link": "fabric", "dir": "recv", "msg": reply})
         assert _is_locality_error(reply), reply
@@ -504,9 +509,9 @@ def test_roles_are_bound_per_session_not_declared():
     assert session.rng.getstate() == before and len(session.handles) == 3
     # Alice cannot turn into Bob; the first Bob holds his role, a second cannot.
     fabric.handle({"type": "HELLO", "role": "bob"}, alice)
-    read_bob = {"type": "READ_RHO", "qubit": pair["q_bob"]}
+    read_bob = {"type": "MEASURE", "qubit": pair["q_bob"]}
     assert _is_locality_error(fabric.handle({"type": "BATCH", "session": sid, "ops": [read_bob]}, alice))
-    assert _op(fabric, _hello(fabric, "bob"), sid, read_bob)["type"] == "RHO"
+    assert _op(fabric, _hello(fabric, "bob"), sid, read_bob)["type"] == "RESULT"
     second_bob = fabric.handle({"type": "BATCH", "session": sid, "ops": [read_bob]}, _hello(fabric, "bob"))
     assert _is_locality_error(second_bob)
     # The intruder holds Alice's role in a session of its own.
@@ -536,7 +541,7 @@ def test_sessions_are_freed_when_their_last_party_leaves():
     alice, sid = _alice_session(fabric, "standard")
     bob = _hello(fabric, "bob")
     q = _op(fabric, alice, sid, {"type": "ALLOC_EPR"})["q_bob"]
-    assert _op(fabric, bob, sid, {"type": "READ_RHO", "qubit": q})["type"] == "RHO"
+    assert _op(fabric, bob, sid, {"type": "MEASURE", "qubit": q})["type"] == "RESULT"
     assert fabric.handle({"type": "BYE"}, alice) == {"type": "BYE"}
     assert list(fabric.sessions) == [sid]  # bob is still bound
     fabric.leave(bob)  # a disconnect
@@ -630,6 +635,50 @@ def test_simplified_sends_zero_classical_messages(fabric_server):
     alice, bob = run_session(fabric_server.address, "simplified", [1, 0])
     assert bob.bits == [1, 0]
     assert not [e for e in alice.transcript if e.get("msg", {}).get("type") == "CLASSICAL"]
+
+
+_NO_NUMPY_PROBE = """
+import importlib.abc, socket, sys, threading
+
+class RefuseNumpy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseNumpy())
+from qteleport.cli import build_parser
+from qteleport.netdemo import FabricServer, run_alice, run_bob
+
+build_parser()
+bits = [1, 0, 1, 1, 0, 0, 1, 0]
+server = FabricServer(master_seed=3).start()
+try:
+    for protocol in ("standard", "simplified"):
+        got = {}
+        with socket.create_server(("127.0.0.1", 0)) as listen:
+            bob = threading.Thread(target=lambda: got.update(bob=run_bob(listen, server.address, protocol)))
+            bob.start()
+            run_alice(server.address, listen.getsockname(), protocol, bits)
+            bob.join(timeout=60)
+        print(protocol, got["bob"].bits == bits)
+finally:
+    server.shutdown()
+"""
+
+
+def test_netdemo_runs_without_numpy():
+    """The fabric, Alice, Bob and the command line's parser run on the
+    standard library alone: in a new interpreter that refuses every numpy
+    import, an 8-bit loopback session of each protocol delivers its bits."""
+    import qteleport
+
+    src = os.path.dirname(os.path.dirname(qteleport.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_PROBE], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["standard", "True", "simplified", "True"]
 
 
 @pytest.mark.parametrize("protocol", ["standard", "simplified"])

@@ -558,7 +558,7 @@ def _standard_branches(bit, epr):
     The circuit is `_standard_circuit`'s: tensor, CNOT and H on [|bit>, pair],
     then m0 on q0 and m1 on q1."""
     psi = StateVector([1.0 - bit, bit])
-    amps = apply_1q(apply_cnot(tensor(psi, epr), 0, 1), GATE_H, 0).amps.reshape(2, 2, 2)
+    amps = np.asarray(apply_1q(apply_cnot(tensor(psi, epr), 0, 1), GATE_H, 0).amps).reshape(2, 2, 2)
     norms, readouts = [], []
     for key in OUTCOME_KEYS:
         m1, m0 = int(key[0]), int(key[1])
@@ -567,7 +567,7 @@ def _standard_branches(bit, epr):
         norms.append(float(np.sum(np.abs(branch) ** 2)))
         if np.any(branch):
             post = StateVector(_unit(branch).reshape(-1))
-            readouts.append(_bob_reads_one(standard_correction(post, m1, m0).amps))
+            readouts.append(_bob_reads_one(np.asarray(standard_correction(post, m1, m0).amps)))
     return np.array(norms), readouts
 
 
@@ -575,7 +575,7 @@ def _simplified_readouts(bit, epr):
     """Bob's readout probability on every reset branch of the simplified
     circuit: tensor, CNOT and H on [pair, |bit>], then q0 and q1 measured."""
     psi = StateVector([1.0 - bit, bit])
-    amps = apply_1q(apply_cnot(tensor(epr, psi), 0, 1), GATE_H, 0).amps.reshape(2, 2, 2)
+    amps = np.asarray(apply_1q(apply_cnot(tensor(epr, psi), 0, 1), GATE_H, 0).amps).reshape(2, 2, 2)
     readouts = []
     for r0 in (0, 1):
         for r1 in (0, 1):

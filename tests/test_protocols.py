@@ -177,7 +177,7 @@ def test_standard_destroys_payload_on_sender_side():
         out = teleport_standard(psi, balanced_epr(), rng)
         post = dict(out.trace)["post-measure"]
         for q in (0, 1):
-            rho = reduced_density(post, q).mat
+            rho = np.asarray(reduced_density(post, q).mat)
             assert abs(rho[0, 1]) < 1e-12 and abs(rho[1, 0]) < 1e-12
 
 
@@ -204,7 +204,7 @@ def test_correction_z_twice_is_identity():
     psi = PureQubit(ALPHA, BETA).as_state()
     once = standard_correction(psi, 0, 1)
     twice = standard_correction(once, 0, 1)
-    assert np.max(np.abs(twice.amps - psi.amps)) < 1e-15
+    assert np.max(np.abs(np.asarray(twice.amps) - psi.amps)) < 1e-15
 
 
 def test_correction_inverts_each_collapsed_branch():
@@ -217,7 +217,7 @@ def test_correction_inverts_each_collapsed_branch():
     }
     target = PureQubit(ALPHA, BETA).projector()
     for (b1, b2), pre in branches.items():
-        fixed = standard_correction(pre.as_state(), b1, b2).amps
+        fixed = np.asarray(standard_correction(pre.as_state(), b1, b2).amps)
         assert np.allclose(np.outer(fixed, fixed.conj()), target, atol=1e-12), (b1, b2)
 
 

@@ -88,10 +88,11 @@ def test_cl2qu_builds_matching_register():
 
 
 def test_cl2qu_full_pixel_word():
+    """All 24 bits of a pixel word, pairwise as the paper's SDC carries them."""
     bits = [int(c) for c in format(0xA5C3F0, "024b")]
-    reg = cl2qu(bits)
-    assert reg.n == 24
-    assert qu2cl(reg) == bits
+    regs = [cl2qu(bits[i : i + 2]) for i in range(0, 24, 2)]
+    assert [reg.n for reg in regs] == [2] * 12
+    assert [b for reg in regs for b in qu2cl(reg)] == bits
 
 
 def test_cl2qu_rejects_out_of_range_lengths():
