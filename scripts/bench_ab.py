@@ -1,26 +1,39 @@
 #!/usr/bin/env python3
-"""Compare two qteleport checkouts on the benchmark, in alternating pairs.
+"""Compare two qteleport trees on the benchmark, in alternating pairs.
 
-    python3 scripts/bench_ab.py PARENT CHANGE --workloads image-full image-sampled \\
+    python3 scripts/bench_ab.py HEAD~1 HEAD --workloads image-full image-sampled \\
         --seeds 31-40 --seconds 8 --out BENCH_1.json
 
-For each seed and workload it runs `perfbench/run.py` once in each checkout,
-unchanged and from that checkout's root, alternating which side goes first
-(the parent on even pair numbers). It writes JSON with each side's `env`
-line and `src/` digest, every run's metrics, and per workload and metric
-each side's median and quartiles and how many pairs each side won; ties
-count for neither.
-Which way is better comes from BENCHMARK.json in the parent checkout.
+PARENT and CHANGE are each a git revision of the repository in the current
+directory, or the path of a checkout, which may be dirty. Both are built
+the same way. A revision is packed by `git archive`; a checkout's files
+(`git ls-files`, untracked ones included and ignored ones not) are packed
+as they are on disk. Each pair extracts both packs afresh into two sibling
+directories, `slot0` and `slot1`, whose paths differ in one character:
+pair k puts the parent in `slot{k % 2}` and the change in the other, and
+runs the parent first on even k, so neither a side's path nor its turn
+favours it.
+
+For each seed and workload it runs `perfbench/run.py` once in each slot,
+unchanged and from the slot's root. It writes JSON with how each side was
+staged, each side's `env` line and `src/` digest, every run's metrics and
+slot, and per workload and metric each side's median and quartiles and how
+many pairs each side won; ties count for neither.
+Which way is better comes from BENCHMARK.json in the parent tree.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 
 SIDES = ("parent", "change")
 
@@ -52,6 +65,43 @@ def src_digest(checkout: str) -> str:
         digest.update(f"{rel}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
+
+
+def schedule(pair: int) -> tuple[dict[str, str], tuple[str, str]]:
+    """The slot each side sits in for pair `pair`, and the order they run in."""
+    flip = pair % 2
+    slots = {"parent": f"slot{flip}", "change": f"slot{1 - flip}"}
+    return slots, SIDES[::-1] if flip else SIDES
+
+
+def _git(cwd: str, *args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True).stdout
+
+
+def pack(spec: str) -> tuple[bytes, dict]:
+    """`spec`'s files as a tar archive, and how they were found: a directory
+    is a checkout, taken as it is on disk; anything else is a revision of
+    the repository in the current directory."""
+    if os.path.isdir(spec):
+        listed = _git(spec, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
+        buf = io.BytesIO()
+        with tarfile.open(fileobj=buf, mode="w") as tar:
+            for name in sorted({os.fsdecode(n) for n in listed.split(b"\0") if n}):
+                path = os.path.join(spec, name)
+                if os.path.lexists(path):  # a tracked file may be deleted on disk
+                    tar.add(path, arcname=name, recursive=False)
+        return buf.getvalue(), {"staged_from": "checkout", "path": os.path.abspath(spec)}
+    commit = _git(".", "rev-parse", "--verify", spec + "^{commit}").decode().strip()
+    archive = _git(".", "archive", "--format=tar", commit)
+    return archive, {"staged_from": "revision", "revision": spec, "commit": commit}
+
+
+def stage(archive: bytes, slot: str) -> None:
+    """Make `slot` hold exactly the files of a tar archive."""
+    shutil.rmtree(slot, ignore_errors=True)
+    os.makedirs(slot)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(slot, filter="data")
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -123,8 +173,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("parent", help="checkout of the parent commit")
-    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("parent", help="revision or checkout of the parent")
+    parser.add_argument("change", help="revision or checkout of the change")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", required=True, help='e.g. "31-40" or "3,5,8"')
     parser.add_argument("--seconds", type=float, required=True)
@@ -132,29 +182,41 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
-    checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    with open(os.path.join(checkouts["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
-        declared = json.load(fh)
-    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
-
-    runs, envs = [], {}
-    for pair, seed in enumerate(parse_seeds(args.seeds)):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for workload in args.workloads:
-            for position, side in enumerate(order):
-                run = run_once(checkouts[side], workload, seed, args.seconds, args.trace)
-                envs.setdefault(side, run.pop("env"))
-                run.update(workload=workload, seed=seed, pair=pair, side=side, position=position)
-                runs.append(run)
-                print(f"pair {pair} seed {seed} {workload} {side}: correct={run['correct']} "
-                      + " ".join(f"{k}={v:.6g}" for k, v in sorted(run["metrics"].items())),
-                      file=sys.stderr, flush=True)
+    packs = {side: pack(spec) for side, spec in zip(SIDES, (args.parent, args.change))}
+    root = tempfile.mkdtemp(prefix="bench_ab_")
+    runs, envs, digests, better = [], {}, {}, {}
+    try:
+        for pair, seed in enumerate(parse_seeds(args.seeds)):
+            slots, order = schedule(pair)
+            paths = {side: os.path.join(root, slots[side]) for side in SIDES}
+            for side in SIDES:
+                stage(packs[side][0], paths[side])
+            if pair == 0:
+                digests = {side: src_digest(paths[side]) for side in SIDES}
+                with open(os.path.join(paths["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
+                    declared = json.load(fh)
+                better = {m["name"]: m["better"]
+                          for m in declared["end_to_end"] + declared["per_layer"]}
+            for workload in args.workloads:
+                for position, side in enumerate(order):
+                    run = run_once(paths[side], workload, seed, args.seconds, args.trace)
+                    envs.setdefault(side, run.pop("env"))
+                    run.update(workload=workload, seed=seed, pair=pair, side=side,
+                               slot=slots[side], position=position)
+                    runs.append(run)
+                    print(f"pair {pair} seed {seed} {workload} {side} in {slots[side]}: "
+                          f"correct={run['correct']} "
+                          + " ".join(f"{k}={v:.6g}" for k, v in sorted(run["metrics"].items())),
+                          file=sys.stderr, flush=True)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
 
     result = {
         "command": "perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace {args.trace}",
+        "sources": {side: packs[side][1] for side in SIDES},
         "env": envs,
-        "src_sha256": {side: src_digest(path) for side, path in checkouts.items()},
+        "src_sha256": digests,
         "workloads": args.workloads,
         "seeds": parse_seeds(args.seeds),
         "runs": runs,

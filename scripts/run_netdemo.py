@@ -17,10 +17,10 @@ from qteleport.protocols import PROTOCOLS
 CLI = [sys.executable, "-m", "qteleport.cli"]
 
 
-def start(who: str, argv: list[str], env: dict | None = None) -> tuple[subprocess.Popen, str]:
+def start(who: str, argv: list[str]) -> tuple[subprocess.Popen, str]:
     """Start a CLI server and wait for its `<who> listening on HOST:PORT`
     line. Returns the process and its `HOST:PORT`."""
-    proc = subprocess.Popen(CLI + argv, env=env, stdout=subprocess.PIPE, text=True)
+    proc = subprocess.Popen(CLI + argv, stdout=subprocess.PIPE, text=True)
     line = proc.stdout.readline()
     prefix = f"{who} listening on "
     if not line.startswith(prefix):
@@ -55,10 +55,10 @@ def main() -> None:
     alice_t = os.path.join(workdir, "alice.json")
     bob_t = os.path.join(workdir, "bob.json")
 
-    env = dict(os.environ, QTELEPORT_SEED=str(args.seed))
     servers = []
     try:
-        fabric, fabric_addr = start("fabric", ["serve-fabric", "--bind", "127.0.0.1:0"], env)
+        fabric, fabric_addr = start("fabric", ["serve-fabric", "--bind", "127.0.0.1:0",
+                                               "--seed", str(args.seed)])
         servers.append(fabric)
         bob, bob_addr = start("bob", ["bob", "--listen", "127.0.0.1:0", "--fabric", fabric_addr,
                                       "--protocol", args.protocol, "--transcript", bob_t])

@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve-fabric", help="run the entanglement-fabric broker")
     p.add_argument("--bind", default="127.0.0.1:7177")
-    p.add_argument("--seed", type=int, default=None, help="override QTELEPORT_SEED")
+    p.add_argument("--seed", type=int, default=None,
+                   help="master seed of the session seeds (default: random)")
 
     p = sub.add_parser("alice", help="send bits through a fabric to a bob")
     p.add_argument("--fabric", required=True)

@@ -10,15 +10,16 @@ operations return new states and never mutate their inputs.
 A state is checked once, where it enters the engine: the public
 constructors (`StateVector`, `DensityMatrix2`, `PureQubit`, `Gate1Q`) and
 `make_cbs` reject malformed input. Ops (`tensor`, `apply_1q`, `apply_cnot`,
-`project_qubit` and the measurements built on it, `reduced_density`)
-return their results unchecked, because they cannot make an invalid state
-out of valid ones: gates are checked unitary when built, CNOT permutes
-amplitudes, the Kronecker product of unit vectors is a unit vector, and a
-collapse renormalizes and refuses a zero-norm branch. Ops still check their
-qubit indices and `tensor` its qubit limit. `measure_qubit` guards against
-a corrupt norm, the one way a caller who mutates `.amps` in place can reach
-an op. `drop_qubit` checks its result like a new state, because its input
-need only be close to a basis state on the dropped qubit.
+`project_qubit` and the measurements built on it, `drop_qubit`,
+`reduced_density`) return their results unchecked, because they cannot make
+an invalid state out of valid ones: gates are checked unitary when built,
+CNOT permutes amplitudes, the Kronecker product of unit vectors is a unit
+vector, a collapse renormalizes and refuses a zero-norm branch, and
+`drop_qubit` refuses a qubit whose other half holds an amplitude above
+`CORRUPT_NORM`, which leaves the kept half of a unit state within
+2**(n-1) * 1e-18 of unit norm. Ops still check their qubit indices and
+`tensor` its qubit limit. `measure_qubit` guards against a corrupt norm,
+the one way a caller who mutates `.amps` in place can reach an op.
 """
 from __future__ import annotations
 
@@ -270,13 +271,15 @@ def reset_qubit(state: StateVector, qubit: int, rng: RandomSource) -> StateVecto
 
 def drop_qubit(state: StateVector, qubit: int, value: int) -> StateVector:
     """The register left when `qubit`, which must be in the basis state
-    |value>, is removed. The result is checked like a new state."""
+    |value>, is removed."""
+    if state.n < 2:
+        raise ValueError("dropping the only qubit leaves no register")
     halves = _split(state, qubit)
     if value not in (0, 1):
         raise ValueError(f"value {value!r} is not 0 or 1")
     if any(abs(z) > CORRUPT_NORM for z in halves[1 - value]):
         raise ValueError(f"qubit {qubit} is not |{value}>")
-    return StateVector(halves[value])
+    return _state(halves[value], state.n - 1)
 
 
 def reduced_density(state: StateVector, qubit: int) -> DensityMatrix2:

@@ -34,9 +34,8 @@ import threading
 from ..core import GATES, StateVector, apply_1q, apply_cnot, drop_qubit, measure_qubit, tensor
 from ..protocols import NoisyEprParams, balanced_epr, noisy_epr
 from ..seeding import derive_seed
-from .framing import recv_msg, send_msg
+from .framing import FramingError, recv_msg, send_msg
 
-ENV_SEED = "QTELEPORT_SEED"
 MAX_LIVE_QUBITS = 3  # one bit's register
 # Seconds a connection may send nothing, even mid-frame, before it is
 # dropped; matches the clients' IO_TIMEOUT.
@@ -247,8 +246,7 @@ class Fabric:
 
     def __init__(self, master_seed: int | None = None):
         if master_seed is None:
-            env = os.environ.get(ENV_SEED)
-            master_seed = int(env) if env else int.from_bytes(os.urandom(8), "big") >> 2
+            master_seed = int.from_bytes(os.urandom(8), "big") >> 2
         self.master_seed = master_seed
         self.sessions: dict[int, Session] = {}
         self._next_session = 0
@@ -314,9 +312,11 @@ class Fabric:
 
 
 class _Handler(socketserver.BaseRequestHandler):
+    server: FabricServer
+
     def handle(self):
         conn: dict = {}
-        fabric: Fabric = self.server.fabric  # type: ignore[attr-defined]
+        fabric = self.server.fabric
         self.request.settimeout(IDLE_TIMEOUT)
         try:
             while not conn.get("done"):
@@ -326,38 +326,33 @@ class _Handler(socketserver.BaseRequestHandler):
                     break
                 if msg is None:
                     break
-                send_msg(self.request, fabric.handle(msg, conn))
+                try:
+                    send_msg(self.request, fabric.handle(msg, conn))
+                except FramingError:  # a reply can quote, or outgrow, its request
+                    send_msg(self.request, {"type": "ERROR", "error": "reply exceeds the frame limit"})
         finally:
             fabric.leave(conn)
 
 
-class _Server(socketserver.ThreadingTCPServer):
+class FabricServer(socketserver.ThreadingTCPServer):
+    """The fabric's TCP server; `start()` serves on a background thread."""
+
     allow_reuse_address = True
     daemon_threads = True
 
-
-class FabricServer:
-    """TCP front end; `start()` serves on a background thread."""
-
     def __init__(self, host: str = "127.0.0.1", port: int = 0, master_seed: int | None = None):
         self.fabric = Fabric(master_seed)
-        self._server = _Server((host, port), _Handler)
-        self._server.fabric = self.fabric  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
+        super().__init__((host, port), _Handler)
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
+        return self.server_address[:2]
 
     def start(self) -> "FabricServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
+        threading.Thread(target=self.serve_forever, daemon=True).start()
         return self
 
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
-
     def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-
+        """Stop serving and close the listening socket."""
+        super().shutdown()
+        self.server_close()

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import struct
 
-MAX_FRAME = 1 << 24
+MAX_FRAME = 1 << 16  # a session's largest frame body is about 330 bytes
 
 # json.dumps builds a new encoder on every call that passes separators.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))

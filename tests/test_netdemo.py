@@ -30,7 +30,14 @@ from qteleport.netdemo import clients
 from qteleport.netdemo.clients import SessionAborted, TranscriptEntry, _alice_ops, _Link
 from qteleport.netdemo import fabric as fabric_module
 from qteleport.netdemo.fabric import Fabric
-from qteleport.netdemo.framing import FramingError, encode_body, recv_msg, send_msg
+from qteleport.netdemo.framing import (
+    MAX_FRAME,
+    FramingError,
+    encode_body,
+    recv_body,
+    recv_msg,
+    send_msg,
+)
 from qteleport.protocols import PROTOCOLS, balanced_epr, teleport_bit
 from qteleport.seeding import derive_seed
 
@@ -117,6 +124,62 @@ def test_recv_msg_across_socket_chunks():
     assert recv_msg(b) is None  # orderly EOF
     t.join()
     b.close()
+
+
+def _body_of(size: int) -> dict:
+    """A message whose compact JSON body is `size` bytes long."""
+    return {"type": "T", "x": "a" * (size - len('{"type":"T","x":""}'))}
+
+
+def test_frame_limit_holds_for_every_reader_and_writer():
+    """A body of MAX_FRAME bytes frames and reads back; one byte more is
+    refused when encoded, and a header that declares it is refused by both
+    readers before any body arrives."""
+    msg = _body_of(MAX_FRAME)
+    assert len(encode_body(msg)) == MAX_FRAME
+    assert FrameDecoder().feed(encode_frame(msg)) == [msg]
+    with pytest.raises(FramingError):
+        encode_body(_body_of(MAX_FRAME + 1))
+    header = struct.pack(">I", MAX_FRAME + 1)
+    with pytest.raises(FramingError):
+        FrameDecoder().feed(header)
+    a, b = socket.socketpair()
+    try:
+        a.sendall(header)
+        with pytest.raises(FramingError):
+            recv_body(b)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_oversized_frame_drops_its_connection_only(fabric_server):
+    """A connection that announces a frame over MAX_FRAME is closed and its
+    session freed; a session on other connections still completes."""
+    with socket.create_connection(fabric_server.address, timeout=10.0) as sock:
+        send_msg(sock, {"type": "HELLO", "role": "alice"})
+        assert recv_msg(sock) == {"type": "WELCOME"}
+        send_msg(sock, {"type": "NEW_SESSION", "protocol": "standard"})
+        assert recv_msg(sock)["type"] == "SESSION"
+        sock.sendall(struct.pack(">I", MAX_FRAME + 1))
+        assert sock.recv(1) == b""
+    assert fabric_server.fabric.sessions == {}
+    bits = [1, 0, 0, 1]
+    alice, bob = run_session(fabric_server.address, "standard", bits)
+    assert bob.bits == bits
+
+
+def test_reply_over_the_frame_limit_becomes_one_error(fabric_server):
+    """A request whose reply would not frame, here an error that quotes a
+    long type, gets one short ERROR, and its connection stays usable."""
+    with socket.create_connection(fabric_server.address, timeout=10.0) as sock:
+        send_msg(sock, {"type": "HELLO", "role": "alice"})
+        assert recv_msg(sock) == {"type": "WELCOME"}
+        # Each backslash is 2 bytes of JSON here and 4 in the quoting reply.
+        send_msg(sock, {"type": "\\" * (MAX_FRAME // 3)})
+        assert recv_msg(sock) == {"type": "ERROR", "error": "reply exceeds the frame limit"}
+        send_msg(sock, {"type": "NEW_SESSION", "protocol": "standard"})
+        assert recv_msg(sock)["type"] == "SESSION"
 
 
 # ----------------------------------------------------------------- fabric
@@ -597,12 +660,12 @@ def test_hello_required_before_commands():
     assert err["type"] == "ERROR"
 
 
-def test_env_seed_controls_fabric(monkeypatch):
+def test_fabric_seed_comes_only_from_its_argument(monkeypatch):
+    """A fabric's master seed is the one it is given, or else fresh
+    randomness; no environment variable stands in for it."""
     monkeypatch.setenv("QTELEPORT_SEED", "424242")
-    assert Fabric().master_seed == 424242
-    monkeypatch.delenv("QTELEPORT_SEED")
-    explicit = Fabric(master_seed=5)
-    assert explicit.master_seed == 5
+    assert Fabric().master_seed != Fabric().master_seed
+    assert Fabric(master_seed=5).master_seed == 5
 
 
 # ------------------------------------------------------------- end to end
@@ -685,8 +748,7 @@ def test_netdemo_runs_without_numpy():
 def test_states_are_checked_only_where_they_enter(monkeypatch, protocol):
     """The public constructor checks a state once, where it enters the
     engine; ops return their results unchecked. `teleport_bit` builds no
-    checked state, and a fabric bit checks only its wire payload and the
-    two registers left after dropping a collapsed qubit's axis."""
+    checked state, and a fabric bit checks only its wire payload."""
     rng = random.Random(11)
     bits = [rng.getrandbits(1) for _ in range(40)]
     pair = balanced_epr()
@@ -717,7 +779,7 @@ def test_states_are_checked_only_where_they_enter(monkeypatch, protocol):
             q, ops = replies[1]["q"], []
         ops.append({"type": "MEASURE", "qubit": q})
         assert batch(bob, ops)[-1] == {"type": "RESULT", "bit": bit}
-    assert len(checked) <= 3 * len(bits)
+    assert len(checked) == len(bits)
 
 
 @pytest.mark.parametrize("protocol", ["standard", "simplified"])
@@ -1018,3 +1080,28 @@ def test_run_netdemo_script_stops_bob_when_alice_fails(tmp_path):
     assert rc != 0
     assert "no 0/1 characters" in err
     assert not outlived
+
+
+def _alice_transcript(tmp_path, seed: int) -> list[dict]:
+    """Alice's transcript from one standard run of scripts/run_netdemo.py."""
+    rc, out, err, outlived = _run_netdemo_script(
+        tmp_path, "--protocol", "standard", "--seed", str(seed))
+    assert rc == 0 and not outlived, err
+    workdir = out.strip().splitlines()[-1].removeprefix("transcripts in ")
+    with open(os.path.join(workdir, "alice.json")) as fh:
+        return json.load(fh)["entries"]
+
+
+def test_run_netdemo_seed_fixes_the_transcript(tmp_path):
+    """`--seed` alone fixes the fabric's draws: two runs with one seed give
+    Alice identical transcripts, her CLASSICAL b1/b2 included, and another
+    seed gives a different one."""
+    runs = [_alice_transcript(tmp_path, seed) for seed in (7, 7, 8)]
+
+    def classical(entries):
+        return [(e["msg"]["b1"], e["msg"]["b2"]) for e in entries
+                if e["msg"]["type"] == "CLASSICAL"]
+
+    assert len(classical(runs[0])) == 10
+    assert runs[0] == runs[1]
+    assert classical(runs[0]) != classical(runs[2])
